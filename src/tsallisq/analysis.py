@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, QRangeError
+from .errors import ConvergenceError, DomainError, QRangeError
 from .measures import ANALYTIC_Q_MAX, ANALYTIC_Q_MIN, tee_from_concurrence_sq
 
 _EDGE = 1e-12
@@ -215,7 +215,8 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
 
     bracket must straddle a sign change.  When trace is a list, the current
     bracketing interval (lo, hi) is appended once per iteration, so callers
-    can observe that the bracket never widens.
+    can observe that the bracket never widens.  Raises ConvergenceError when
+    neither tolerance is met within max_iter iterations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = float(func(a)), float(func(b))
@@ -233,11 +234,13 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
     c, fc = a, fa
     d = b
     mflag = True
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         if trace is not None:
             trace.append((min(a, b), max(a, b)))
         if fb == 0.0 or abs(fb) <= f_tol or abs(b - a) <= x_tol:
             return b
+        if it == max_iter:
+            break
         if fa != fc and fb != fc:
             s = (
                 a * fb * fc / ((fa - fb) * (fa - fc))
@@ -270,7 +273,10 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
             a, fa = s, fs
         if abs(fa) < abs(fb):
             a, b, fa, fb = b, a, fb, fa
-    return b
+    raise ConvergenceError(
+        f"no root within f_tol={f_tol:g} or x_tol={x_tol:g} after {max_iter} "
+        f"iterations; last bracket ({min(a, b):.17g}, {max(a, b):.17g})"
+    )
 
 
 def critical_q() -> tuple[float, float]:

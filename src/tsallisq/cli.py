@@ -289,6 +289,7 @@ def cmd_concurrence(args) -> int:
             c=roof.value,
             converged=roof.converged,
             iterations=roof.iterations,
+            stop_reason=roof.stop_reason,
             restarts=args.restarts,
             seed=args.seed,
         )
@@ -328,6 +329,7 @@ def cmd_tee(args) -> int:
             exact=bool(qp.concave_regime),
             roof_concurrence=roof.value,
             converged=roof.converged,
+            stop_reason=roof.stop_reason,
         )
         _emit(args, [f"{value:.6g}"], payload)
         return 0
@@ -398,6 +400,7 @@ def cmd_indicator(args) -> int:
     if result.roof is not None:
         payload["converged"] = result.roof.converged
         payload["iterations"] = result.roof.iterations
+        payload["stop_reason"] = result.roof.stop_reason
     line = f"{result.value:.6g}"
     if result.upper_bound:
         line += " (upper bound)"

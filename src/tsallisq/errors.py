@@ -15,3 +15,7 @@ class PartitionError(DomainError):
 
 class StateFormatError(ValueError):
     """A serialized state file is malformed or inconsistent."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver hit its iteration cap before meeting its tolerance."""

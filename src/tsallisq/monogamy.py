@@ -220,7 +220,11 @@ def indicator(
     if isinstance(state, DensityMatrix):
         if state.dims != (2, 2, 2):
             raise PartitionError(f"indicator needs three qubits, got dims {state.dims}")
-        roof = minimize_roof(state, indicator_summand_cost(state.dims, focus, qp.q), config)
+        # inside the analytic window the pure-state summand is the squared
+        # monogamy residual, which is nonnegative, so 0 is a proven floor
+        roof = minimize_roof(
+            state, indicator_summand_cost(state.dims, focus, qp.q), config, floor=0.0
+        )
         return IndicatorResult(value=roof.value, upper_bound=True, roof=roof)
     raise TypeError(f"indicator expects PureState or DensityMatrix, got {type(state)!r}")
 

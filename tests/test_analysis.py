@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tsallisq import (
     ANALYTIC_Q_MAX,
     ANALYTIC_Q_MIN,
+    ConvergenceError,
     DomainError,
     critical_q,
     curvature_limit_at_max_c,
@@ -202,6 +203,14 @@ def test_find_root_trace_brackets_shrink():
     assert all(b <= a + 1e-15 for a, b in zip(widths, widths[1:]))
     assert widths[-1] < 1e-3
     assert abs(math.cos(root) - root) < 1e-10
+
+
+def test_find_root_raises_at_iteration_cap():
+    with pytest.raises(ConvergenceError, match="after 2 iterations"):
+        find_root_q(lambda t: math.cos(t) - t, (0.0, 1.5), max_iter=2)
+    # ConvergenceError is a RuntimeError, not a domain complaint about the input
+    assert issubclass(ConvergenceError, RuntimeError)
+    assert not issubclass(ConvergenceError, DomainError)
 
 
 @settings(max_examples=40, deadline=None)

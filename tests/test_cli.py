@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from tsallisq import DensityMatrix, load_state, random_pure_state, save_state
+from tsallisq import (
+    DensityMatrix,
+    load_state,
+    random_biseparable_mixture,
+    random_pure_state,
+    save_state,
+)
 from tsallisq.cli import UsageError, main, parse_number, parse_range
 
 
@@ -117,6 +123,33 @@ def test_indicator_upper_bound_marker(tmp_path, capsys, rng):
     assert main(["indicator", str(path), "--q", "2", "--restarts", "4"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.endswith("(upper bound)")
+
+
+def test_roof_json_reports_stop_reason(tmp_path, capsys):
+    # separable qubit x ququart block: the roof stops at its floor of 0
+    a = np.kron([1.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+    b = np.kron([0.6, 0.8], [0.5, 0.5, 0.5, 0.5])
+    mat = 0.3 * np.outer(a, a) + 0.7 * np.outer(b, b)
+    path = tmp_path / "block.json"
+    save_state(DensityMatrix((2, 4), mat), path)
+    assert main(["concurrence", str(path), "--restarts", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "roof" and payload["stop_reason"] == "floor"
+    assert payload["c"] <= 1e-7
+    assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "roof-2xd" and payload["stop_reason"] == "floor"
+
+
+def test_indicator_json_reports_stop_reason(tmp_path, capsys, rng):
+    # biseparable mixture: the indicator roof stops at its floor of 0
+    path = tmp_path / "mixed.json"
+    save_state(random_biseparable_mixture(rng, members=2), path)
+    args = ["indicator", str(path), "--q", "2", "--restarts", "4", "--json"]
+    assert main(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stop_reason"] == "floor" and payload["converged"]
+    assert payload["upper_bound"] and payload["value"] <= 1e-7
 
 
 def test_state_writes_loadable_json(tmp_path):

@@ -5,14 +5,21 @@ from tsallisq import (
     DensityMatrix,
     DomainError,
     PartitionError,
+    PureState,
     RoofConfig,
     concurrence_two_qubit,
+    ghz,
+    indicator,
     minimize_roof,
+    random_biseparable_mixture,
     random_pure_state,
     roof_concurrence,
     tee_two_qubit,
+    w_state,
 )
 from tsallisq.roof import (
+    _pair_concurrence_sq_batch,
+    _phase_fixed_isometries,
     concurrence_cost,
     decomposition_from_isometry,
     indicator_summand_cost,
@@ -153,3 +160,168 @@ def test_cost_factories_reject_bad_party():
         tee_cost((2, 2), 2, 2.0)
     with pytest.raises(DomainError):
         indicator_summand_cost((2, 3, 2), 0, 2.0)
+
+
+# --- certified floor stop ----------------------------------------------------
+
+
+def _separable_block(rng):
+    # mixture of two qubit x ququart products: roof concurrence exactly 0
+    mat = np.zeros((8, 8), dtype=complex)
+    weights = rng.dirichlet(np.ones(2))
+    for w in weights:
+        vec = np.kron(
+            random_pure_state((2,), rng).amplitudes,
+            random_pure_state((4,), rng).amplitudes,
+        )
+        mat += w * np.outer(vec, vec.conj())
+    return DensityMatrix((2, 4), mat)
+
+
+def _ghz4_block():
+    # (0 | 2 3) block of GHZ4: (|000><000| + |111><111|)/2, separable
+    return DensityMatrix((2, 4), ghz(4).reduced((0, 2, 3)).matrix)
+
+
+def test_floor_stops_separable_blocks(rng):
+    cfg = RoofConfig(restarts=8, seed=11)
+    for rho in [_separable_block(rng) for _ in range(3)] + [_ghz4_block()]:
+        res = roof_concurrence(rho, cfg)
+        assert res.value <= cfg.tolerance
+        assert res.stop_reason == "floor" and res.converged
+        assert res.iterations <= cfg.max_iterations // 20
+        assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+    # the eigenbasis start already reaches C = 0 on the GHZ4 block
+    assert roof_concurrence(_ghz4_block(), cfg).iterations == 0
+
+
+def test_floor_restart_prefix_within_tolerance(rng):
+    # a larger batch may stop earlier, but only once within tolerance of the
+    # floor, so adding restarts never costs more than the tolerance
+    cases = [
+        (_separable_block(rng), concurrence_cost((2, 4), 0)),
+        (_ghz4_block(), concurrence_cost((2, 4), 0)),
+        (_rank2_mixture(rng), concurrence_cost((2, 2), 0)),
+        (
+            random_biseparable_mixture(rng, members=2),
+            indicator_summand_cost((2, 2, 2), 0, 2.0),
+        ),
+    ]
+    for rho, cost in cases:
+        values = []
+        for restarts in (1, 3, 6):
+            cfg = RoofConfig(restarts=restarts, seed=123, max_iterations=300)
+            values.append(minimize_roof(rho, cost, cfg, floor=0.0).value)
+        assert values[1] <= values[0] + cfg.tolerance
+        assert values[2] <= values[1] + cfg.tolerance
+
+
+def test_floor_leaves_entangled_runs_unchanged(rng):
+    cfg = RoofConfig(restarts=4, seed=31, max_iterations=400)
+    for _ in range(3):
+        rho = _rank2_mixture(rng)
+        cost = concurrence_cost((2, 2), 0)
+        plain = minimize_roof(rho, cost, cfg)
+        floored = minimize_roof(rho, cost, cfg, floor=0.0)
+        assert plain.value > 10 * cfg.tolerance
+        assert floored.value == plain.value
+        assert floored.iterations == plain.iterations
+        assert floored.stop_reason == plain.stop_reason != "floor"
+
+
+def test_stop_reasons(rng, bell):
+    assert roof_concurrence(bell.to_density()).stop_reason == "exact"
+    rho = _rank2_mixture(rng)
+    capped = minimize_roof(
+        rho, tee_cost((2, 2), 0, 2.0), RoofConfig(restarts=2, seed=3, max_iterations=3)
+    )
+    assert capped.stop_reason == "cap" and not capped.converged
+    assert capped.iterations == 3
+    done = minimize_roof(rho, tee_cost((2, 2), 0, 2.0), RoofConfig(restarts=2, seed=3))
+    assert done.stop_reason in ("tolerance", "step") and done.converged
+
+
+def test_mixed_indicator_stops_at_floor(rng):
+    rho = random_biseparable_mixture(rng, members=2)
+    res = indicator(rho, 2.0, RoofConfig(restarts=6, seed=5))
+    assert res.upper_bound
+    assert res.value <= 1e-7
+    assert res.roof.stop_reason == "floor"
+
+
+# --- per-iteration kernels ---------------------------------------------------
+
+
+def _lapack_isometries(mats):
+    # reference route: LAPACK QR with the R diagonal rotated positive
+    q, r = np.linalg.qr(mats)
+    diag = np.einsum("...ii->...i", r)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+@pytest.mark.parametrize("m,r", [(4, 2), (6, 3), (8, 4), (12, 6), (16, 8), (3, 3)])
+def test_gram_schmidt_matches_phase_fixed_qr(m, r):
+    rng = np.random.default_rng(1000 + 10 * m + r)
+    mats = rng.standard_normal((64, m, r)) + 1j * rng.standard_normal((64, m, r))
+    iso = _phase_fixed_isometries(mats)
+    assert np.max(np.abs(iso - _lapack_isometries(mats))) <= 1e-13
+    gram = np.einsum("nmi,nmj->nij", iso.conj(), iso)
+    assert np.max(np.abs(gram - np.eye(r))) <= 1e-13
+
+
+def test_gram_schmidt_orthonormal_when_ill_conditioned():
+    # columns within 1e-3 of a common direction (condition number ~1e4): a
+    # single Gram-Schmidt pass would lose orthogonality to ~1e-9
+    rng = np.random.default_rng(77)
+    shape = (64, 8, 4)
+    common = rng.standard_normal((64, 8, 1)) + 1j * rng.standard_normal((64, 8, 1))
+    mats = common + 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    iso = _phase_fixed_isometries(mats)
+    gram = np.einsum("nmi,nmj->nij", iso.conj(), iso)
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-13
+    assert np.max(np.abs(iso - _lapack_isometries(mats))) <= 1e-10
+
+
+def _local_unitary(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def test_tau_pair_concurrence_matches_wootters(rng):
+    states = [random_pure_state((2, 2, 2), rng) for _ in range(40)]
+    states += [ghz(3), w_state(3)]
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    states.append(PureState((2, 2, 2), np.kron(bell, random_pure_state((2,), rng).amplitudes)))
+    for _ in range(4):
+        local = np.kron(np.kron(_local_unitary(rng), _local_unitary(rng)), _local_unitary(rng))
+        states.append(PureState((2, 2, 2), local @ ghz(3).amplitudes))
+    batch = np.stack([psi.amplitudes for psi in states])
+    for keep in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)):
+        got = np.sqrt(_pair_concurrence_sq_batch(batch, keep))
+        ref = [concurrence_two_qubit(psi.reduced(list(keep))).c for psi in states]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_tau_pair_concurrence_product_is_zero(rng):
+    # a pure product pair has C = 0 exactly; compared with 0 rather than with
+    # concurrence_two_qubit, which reads up to ~5e-9 on such pairs
+    def qubit():
+        return random_pure_state((2,), rng).amplitudes
+
+    batch = np.stack([np.kron(np.kron(qubit(), qubit()), qubit()) for _ in range(20)])
+    for keep in ((0, 1), (0, 2), (1, 2)):
+        assert np.max(_pair_concurrence_sq_batch(batch, keep)) <= 1e-28
+
+
+@pytest.mark.parametrize("q", [0.75, 1.0, 2.0, 3.0, 4.25])
+def test_indicator_summand_nonnegative_on_pure_states(q):
+    # squared monogamy of Tsallis-q entanglement on three qubits
+    rng = np.random.default_rng(7)
+    batch = np.stack(
+        [random_pure_state((2, 2, 2), rng).amplitudes for _ in range(200)]
+        + [ghz(3).amplitudes, w_state(3).amplitudes]
+    )
+    for focus in (0, 1, 2):
+        values = indicator_summand_cost((2, 2, 2), focus, q)(batch)
+        assert np.min(values) >= -1e-12
