@@ -11,8 +11,10 @@ Three second derivatives drive everything the package claims about monogamy:
 * tee_curvature        - d^2/dx^2 of f(x).  Sign alternates between the two
   concave q-bands and the middle band (2, 3).
 
-All three broadcast over arrays, handle q = 1 through the von Neumann limit,
-and return exact one-sided limits at x = 0 and x = 1 (some are infinite).
+All three broadcast over arrays and return exact one-sided limits at x = 0
+and x = 1 (some are infinite).  Each is one formula in q: the power
+difference that would cancel near q = 1 enters as a difference of
+q-logarithms, so q = 1 needs no separate von Neumann branch.
 """
 
 from __future__ import annotations
@@ -22,33 +24,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, QRangeError
-from .measures import ANALYTIC_Q_MAX, ANALYTIC_Q_MIN, tee_from_concurrence_sq
-
-_EDGE = 1e-12
+from .errors import ConvergenceError, DomainError
+from .measures import (
+    ANALYTIC_Q_MAX,
+    ANALYTIC_Q_MIN,
+    _EDGE,
+    _check_q,
+    _check_xq,
+    _qlog,
+    tee_from_concurrence_sq,
+)
 
 
 def _prep(x, q):
-    X = np.asarray(x, dtype=float)
-    Q = np.asarray(q, dtype=float)
-    if np.any(X < -_EDGE) or np.any(X > 1.0 + _EDGE):
-        raise DomainError("squared concurrence must lie in [0, 1]")
-    if np.any(~np.isfinite(Q)) or np.any(Q <= 0.0):
-        raise QRangeError("entropic order must be finite and positive")
-    X = np.clip(X, 0.0, 1.0)
-    X, Q = np.broadcast_arrays(X, Q)
+    X, Q = np.broadcast_arrays(*_check_xq(x, q))
     return X.astype(float), Q.astype(float)
 
 
 def _powers(X, Q):
-    """s, A = 1+s, B = (1-s) computed cancellation-free, and the two power
-    combinations the curvature formulas share."""
+    """s = sqrt(1-x) and, with A = 1+s and B = 1-s = x/A (cancellation-free),
+    the two power combinations the curvature formulas share:
+    D1 = (A^(q-1) - B^(q-1))/(q-1), taken as a difference of q-logarithms so
+    it stays exact through q = 1 (where it is ln(A/B)), and
+    d0 = A^(q-2) + B^(q-2)."""
     s = np.sqrt(1.0 - X)
     A = 1.0 + s
     B = X / A
-    d1 = A ** (Q - 1.0) - B ** (Q - 1.0)
+    D1 = _qlog(A, Q)
+    D1 -= _qlog(B, Q)
     d0 = A ** (Q - 2.0) + B ** (Q - 2.0)
-    return s, A, B, d1, d0
+    return s, D1, d0
+
+
+def _interior_curvature(X, Q, D1, d0):
+    """d^2/dx^2 of the squared-concurrence-to-TEE map for 0 < x < 1."""
+    return Q / 2.0 ** (Q + 2.0) * (D1 / (1.0 - X) ** 1.5 - d0 / (1.0 - X))
 
 
 def _scalar_or_array(out, scalar_in):
@@ -68,20 +78,10 @@ def tee_curvature(x, q):
     out = np.empty(X.shape, dtype=float)
 
     inner = (X > 0.0) & (X < 1.0)
-    gen = inner & (Q != 1.0)
-    if np.any(gen):
-        Xg, Qg = X[gen], Q[gen]
-        _, _, _, d1, d0 = _powers(Xg, Qg)
-        pref = Qg / (2.0 ** (Qg + 2.0) * (Qg - 1.0))
-        out[gen] = pref * (
-            (1.0 - Qg) * d0 / (1.0 - Xg) + d1 / (1.0 - Xg) ** 1.5
-        )
-    vn = inner & (Q == 1.0)
-    if np.any(vn):
-        Xv = X[vn]
-        s = np.sqrt(1.0 - Xv)
-        big_l = np.log((1.0 + s) ** 2 / Xv)
-        out[vn] = -1.0 / (4.0 * Xv * (1.0 - Xv)) + big_l / (8.0 * (1.0 - Xv) ** 1.5)
+    if np.any(inner):
+        Xi, Qi = X[inner], Q[inner]
+        _, D1, d0 = _powers(Xi, Qi)
+        out[inner] = _interior_curvature(Xi, Qi, D1, d0)
 
     left = X == 0.0
     if np.any(left):
@@ -110,26 +110,12 @@ def tee_sq_curvature(x, q):
     out = np.empty(X.shape, dtype=float)
 
     inner = (X > 0.0) & (X < 1.0)
-    gen = inner & (Q != 1.0)
-    if np.any(gen):
-        Xg, Qg = X[gen], Q[gen]
-        _, _, _, d1, d0 = _powers(Xg, Qg)
-        f = tee_from_concurrence_sq(Xg, Qg)
-        t1 = Qg**2 * d1**2 / (2.0 ** (2.0 * Qg + 1.0) * (Qg - 1.0) ** 2 * (1.0 - Xg))
-        curv = (
-            Qg
-            / (2.0 ** (Qg + 2.0) * (Qg - 1.0))
-            * ((1.0 - Qg) * d0 / (1.0 - Xg) + d1 / (1.0 - Xg) ** 1.5)
-        )
-        out[gen] = t1 + 2.0 * f * curv
-    vn = inner & (Q == 1.0)
-    if np.any(vn):
-        Xv = X[vn]
-        s = np.sqrt(1.0 - Xv)
-        big_l = np.log((1.0 + s) ** 2 / Xv)
-        f = tee_from_concurrence_sq(Xv, 1.0)
-        curv = -1.0 / (4.0 * Xv * (1.0 - Xv)) + big_l / (8.0 * (1.0 - Xv) ** 1.5)
-        out[vn] = big_l**2 / (8.0 * (1.0 - Xv)) + 2.0 * f * curv
+    if np.any(inner):
+        Xi, Qi = X[inner], Q[inner]
+        _, D1, d0 = _powers(Xi, Qi)
+        f = tee_from_concurrence_sq(Xi, Qi)
+        slope_sq = Qi**2 * D1**2 / (2.0 ** (2.0 * Qi + 1.0) * (1.0 - Xi))
+        out[inner] = slope_sq + 2.0 * f * _interior_curvature(Xi, Qi, D1, d0)
     left = X == 0.0
     if np.any(left):
         Ql = Q[left]
@@ -142,11 +128,7 @@ def tee_sq_curvature(x, q):
     if np.any(right):
         Qr = Q[right]
         slope_sq = 2.0 * Qr**2 / 4.0**Qr
-        f1 = np.where(
-            Qr == 1.0,
-            math.log(2.0),
-            (1.0 - 2.0 ** (1.0 - Qr)) / np.where(Qr == 1.0, 1.0, Qr - 1.0),
-        )
+        f1 = -_qlog(0.5, Qr)
         g1 = -Qr * (Qr - 2.0) * (Qr - 3.0) / (3.0 * 2.0 ** (Qr + 1.0))
         out[right] = slope_sq + 2.0 * f1 * g1
     return _scalar_or_array(out, scalar_in)
@@ -164,24 +146,11 @@ def tee_curvature_wrt_c(q, c):
     out = np.empty(C.shape, dtype=float)
 
     inner = (C > 0.0) & (C < 1.0)
-    gen = inner & (Q != 1.0)
-    if np.any(gen):
-        Cg, Qg = C[gen], Q[gen]
-        Xg = Cg**2
-        s = np.sqrt(1.0 - Xg)
-        A = 1.0 + s
-        B = Xg / A
-        d1 = A ** (Qg - 1.0) - B ** (Qg - 1.0)
-        d0 = A ** (Qg - 2.0) + B ** (Qg - 2.0)
-        pref = Qg / (2.0**Qg * (Qg - 1.0))
-        out[gen] = pref * (d1 / s**3 - (Qg - 1.0) * Xg * d0 / s**2)
-    vn = inner & (Q == 1.0)
-    if np.any(vn):
-        Cv = C[vn]
-        Xv = Cv**2
-        s = np.sqrt(1.0 - Xv)
-        big_l = np.log((1.0 + s) ** 2 / Xv)
-        out[vn] = big_l / (2.0 * s**3) - 1.0 / s**2
+    if np.any(inner):
+        Ci, Qi = C[inner], Q[inner]
+        Xi = Ci**2
+        s, D1, d0 = _powers(Xi, Qi)
+        out[inner] = Qi / 2.0**Qi * (D1 / s**3 - Xi * d0 / s**2)
     left = C == 0.0
     if np.any(left):
         Ql = Q[left]
@@ -201,9 +170,7 @@ def curvature_limit_at_max_c(q):
 
     Vanishes exactly at the window endpoints (5 +- sqrt(13))/2.
     """
-    Q = np.asarray(q, dtype=float)
-    if np.any(~np.isfinite(Q)) or np.any(Q <= 0.0):
-        raise QRangeError("entropic order must be finite and positive")
+    Q = _check_q(q)
     out = -Q * (Q**2 - 5.0 * Q + 3.0) / (3.0 * 2.0 ** (Q - 1.0))
     if np.isscalar(q):
         return float(out)
@@ -302,6 +269,14 @@ _SCAN_KINDS = {
 }
 
 
+def _fmt12(value: float) -> str:
+    """%.12g, with -0.0 folded to 0: the number format of every CSV."""
+    v = float(value)
+    if v == 0.0:
+        v = 0.0
+    return format(v, ".12g")
+
+
 @dataclass(frozen=True)
 class DerivativeSample:
     """One grid point of a curvature scan."""
@@ -332,16 +307,10 @@ class SignScanReport:
 
     def to_csv(self, fh) -> None:
         """Write the full grid as CSV (x, q, value) with %.12g formatting."""
-
-        def fmt(v: float) -> str:
-            if v == 0.0:
-                v = 0.0  # normalize -0.0
-            return f"{v:.12g}"
-
         fh.write(f"{self.xlabel},q,value\n")
         for i, xv in enumerate(self.xs):
             for j, qv in enumerate(self.qs):
-                fh.write(f"{fmt(xv)},{fmt(qv)},{fmt(self.values[i, j])}\n")
+                fh.write(f"{_fmt12(xv)},{_fmt12(qv)},{_fmt12(self.values[i, j])}\n")
 
     def summary(self) -> dict:
         return {

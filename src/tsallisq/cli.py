@@ -21,6 +21,8 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _SCAN_KINDS,
+    _fmt12,
     critical_q,
     curvature_limit_at_max_c,
     find_root_q,
@@ -57,6 +59,7 @@ from .monogamy import (
 from .qstate import (
     DensityMatrix,
     PureState,
+    _state_payload,
     example3_state,
     example4_state,
     example5_state,
@@ -207,13 +210,6 @@ def _emit(args, human_lines, payload: dict) -> None:
     _write_text(args, text)
 
 
-def _fmt12(value: float) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # fold -0.0
-    return format(v, ".12g")
-
-
 def _write_csv(path: str, header: str, rows) -> int:
     count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -233,19 +229,7 @@ def _roof_config(args) -> RoofConfig:
 
 def cmd_state(args) -> int:
     state = resolve_state(args.spec, None)
-    if isinstance(state, PureState):
-        payload = {
-            "dims": list(state.dims),
-            "amplitudes": np.stack(
-                [state.amplitudes.real, state.amplitudes.imag], axis=-1
-            ).tolist(),
-        }
-    else:
-        payload = {
-            "dims": list(state.dims),
-            "matrix": np.stack([state.matrix.real, state.matrix.imag], axis=-1).tolist(),
-        }
-    _write_text(args, json.dumps(payload) + "\n")
+    _write_text(args, json.dumps(_state_payload(state)) + "\n")
     return 0
 
 
@@ -408,11 +392,8 @@ def cmd_indicator(args) -> int:
     return 0
 
 
-_CURVATURE_SUBJECTS = {
-    "tee-curvature": (tee_curvature, "x"),
-    "tee-sq-curvature": (tee_sq_curvature, "x"),
-    "tee-curvature-c": (lambda x, q: tee_curvature_wrt_c(q, x), "c"),
-}
+# a copy, so replacing an entry here never reaches scan_sign's table
+_CURVATURE_SUBJECTS = dict(_SCAN_KINDS)
 
 _FAMILY_SUBJECTS = ("gw-indicator", "w-indicator", "example3", "example4", "example5")
 

@@ -7,6 +7,8 @@ descending order, which is the convention the rest of the package assumes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, PartitionError
@@ -78,6 +80,21 @@ def psd_sqrt(mat: np.ndarray, *, neg_tol: float = 1e-8) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2.0
+
+
+def _bipartition(vecs: np.ndarray, dims, keep) -> np.ndarray:
+    """Reshape state vectors (..., prod(dims)) to matrices (..., d_keep, d_rest).
+
+    Rows run over the kept factors in the order keep lists them, columns over
+    the others in tensor order, so M @ M^dagger is the reduced state on keep
+    and pure-state marginals never form a full projector.
+    """
+    lead = vecs.shape[:-1]
+    off = len(lead)
+    rest = [i for i in range(len(dims)) if i not in keep]
+    axes = [*range(off), *(off + i for i in keep), *(off + i for i in rest)]
+    tensor = vecs.reshape(lead + tuple(dims)).transpose(axes)
+    return tensor.reshape(lead + (math.prod(dims[i] for i in keep), -1))
 
 
 def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 The central scalar function maps a squared concurrence x to the Tsallis-q
 entropy of the two-eigenvalue spectrum {(1+sqrt(1-x))/2, (1-sqrt(1-x))/2}.
-For q = 1 (exactly) every entropy in this module degrades gracefully to the
-von Neumann form with natural logarithms.
+Every Tsallis sum in the package goes through one kernel, _tsallis_sum, built
+on the q-logarithm (p^(q-1) - 1)/(q - 1).  Near q = 1 that difference is
+evaluated with expm1, so each entropy is continuous through its von Neumann
+value (natural logarithms) at q = 1 and exact to rounding on both sides.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QRangeError
-from .linalg import hermitian_eigenvalues, kron, psd_sqrt
+from .linalg import hermitian_eigenvalues, kron
 from .qstate import DensityMatrix, PureState
 
 # closed-form two-qubit window: roots of q^2 - 5q + 3
@@ -25,6 +27,80 @@ _EDGE = 1e-12
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _FLIP = kron(_SIGMA_Y, _SIGMA_Y)
+# sigma_y x sigma_y is the row reversal with signs (-, +, +, -)
+_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
+_NEAR_ONE = 0.25
+
+
+def _check_q(q) -> np.ndarray:
+    qa = np.asarray(q, dtype=float)
+    if np.any(~np.isfinite(qa)) or np.any(qa <= 0.0):
+        raise QRangeError("entropic order must be finite and positive")
+    return qa
+
+
+def _check_xq(x, q) -> tuple[np.ndarray, np.ndarray]:
+    """Validate squared concurrences (1e-12 of slack outside [0, 1], then
+    clipped) and entropic orders; returns both as float arrays."""
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < -_EDGE) or np.any(xa > 1.0 + _EDGE):
+        raise DomainError("squared concurrence must lie in [0, 1]")
+    return np.clip(xa, 0.0, 1.0), _check_q(q)
+
+
+def _qlog(base, q):
+    """q-logarithm (base^(q-1) - 1)/(q - 1), elementwise; ln(base) at q = 1.
+
+    Where |q - 1| >= 1/4 the power form is exact and keeps numpy's fast path
+    for integer powers.  Closer to 1 it cancels, so those entries are
+    recomputed by _qlog_near; an array of orders pays for that only on its
+    near entries.
+    """
+    k = np.asarray(q, dtype=float) - 1.0
+    near = np.abs(k) < _NEAR_ONE
+    if k.ndim == 0:
+        return _qlog_near(base, k) if near else (base**k - 1.0) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = base**k
+        out -= 1.0
+        out /= k
+    if near.any():
+        base, k, near = np.broadcast_arrays(base, k, near)
+        out[near] = _qlog_near(base[near], k[near])
+    return out
+
+
+def _qlog_near(base, k):
+    """expm1(k ln base)/k, which is exact through k = 0 (where it is ln base)."""
+    lb = np.log(base)
+    t = k * lb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t == 0.0, lb, np.expm1(t) / k)
+
+
+def _tsallis_sum(p, q):
+    """Tsallis entropy (1 - sum p^q)/(q - 1) of the probabilities on the last axis.
+
+    A float q away from 1 keeps that power form; otherwise the sum is
+    -sum p ln_q(p), which has no cancellation near q = 1 and is the Shannon
+    entropy at q = 1.  A q array must broadcast against p, last axis included.
+    """
+    p = np.clip(p, 0.0, None)
+    if isinstance(q, float) and abs(q - 1.0) >= _NEAR_ONE:
+        return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
+    terms = _qlog(np.where(p > 0.0, p, 1.0), q)
+    terms *= p
+    return -terms.sum(axis=-1)
+
+
+def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
+    """tau = M^T (sigma_y x sigma_y) M for a stack of 4 x k matrices M.
+
+    With rho = M M^dagger, the singular values of the complex symmetric tau
+    are the square roots of the eigenvalues of rho rho~ (Wootters, PRL 80,
+    2245, 1998).
+    """
+    return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
 @dataclass(frozen=True)
@@ -79,14 +155,6 @@ class TeeEstimate:
     exact: bool
 
 
-def _tsallis(probs: np.ndarray, q: float) -> float:
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    if q == 1.0:
-        mask = p > 0.0
-        return float(-(p[mask] * np.log(p[mask])).sum())
-    return float((1.0 - (p**q).sum()) / (q - 1.0))
-
-
 def tsallis_entropy(rho, q) -> float:
     """Tsallis-q entropy (1 - Tr rho^q)/(q - 1); natural-log von Neumann at q = 1."""
     qp = as_q(q)
@@ -94,7 +162,7 @@ def tsallis_entropy(rho, q) -> float:
         spec = rho.spectrum()
     else:
         spec = hermitian_eigenvalues(np.asarray(rho))
-    return _tsallis(spec, qp.q)
+    return float(_tsallis_sum(spec, qp.q))
 
 
 def binary_entropy(p: float) -> float:
@@ -103,12 +171,7 @@ def binary_entropy(p: float) -> float:
     if p < -_EDGE or p > 1.0 + _EDGE:
         raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    out = 0.0
-    if p > 0.0:
-        out -= p * math.log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * math.log(1.0 - p)
-    return out
+    return float(_tsallis_sum(np.array([p, 1.0 - p]), 1.0))
 
 
 def spin_flip_two_qubit(mat: np.ndarray) -> np.ndarray:
@@ -122,24 +185,20 @@ def spin_flip_two_qubit(mat: np.ndarray) -> np.ndarray:
 def concurrence_two_qubit(rho) -> ConcurrenceValue:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
-    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix.  The l_i
-    are computed through the Hermitian route, eigenvalues of
-    sqrt(rho) rho~ sqrt(rho) under a square root, which keeps everything in
-    real symmetric arithmetic instead of the non-normal product rho rho~.
+    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix.  With
+    rho = L L^dagger taken from the eigendecomposition, the l_i are the
+    singular values of tau = L^T (sigma_y x sigma_y) L, the construction the
+    batched pair kernel uses.  Eigenvalues of rho at or below the
+    numerical-rank cutoff 4 eps max(spectrum) count as zero: they are
+    rounding noise, and their square roots would enter L as ~1e-8 columns.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
     if rho.dims != (2, 2):
         raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
-    root = psd_sqrt(rho.matrix)
-    inner = root @ spin_flip_two_qubit(rho.matrix) @ root
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)[::-1]
-    vals = np.clip(vals, 0.0, None)
-    # Rank deficiency leaves exact-zero eigenvalues sitting at noise level
-    # ~eps*|inner|; the square root would blow that up to ~1e-8 and bias the
-    # l1 - l2 - l3 - l4 difference, so zero everything below a relative floor.
-    vals[vals < 64.0 * np.finfo(float).eps * vals[0]] = 0.0
-    lam = np.sqrt(vals)
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals[vals <= 4.0 * np.finfo(float).eps * vals[-1]] = 0.0
+    lam = np.linalg.svd(_spin_flip_overlaps(vecs * np.sqrt(vals)), compute_uv=False)
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return ConcurrenceValue(c=c, lambdas=tuple(float(v) for v in lam))
 
@@ -149,17 +208,14 @@ def concurrence_pure(psi: PureState, party: int = 0) -> float:
 
     Clamped to the ceiling sqrt(2(d-1)/d) set by the smaller side dimension d.
     """
+    from .roof import concurrence_cost  # roof imports this module
+
     party = int(party)
     if party < 0 or party >= psi.num_sites:
         raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
-    reduced = psi.reduced([party])
-    rest = psi.dim // psi.dims[party]
-    dm = min(psi.dims[party], rest)
-    if dm < 2:
+    if min(psi.dims[party], psi.dim // psi.dims[party]) < 2:
         raise DomainError("concurrence needs both sides of the cut to be nontrivial")
-    csq = 2.0 * (1.0 - reduced.purity())
-    csq = min(max(csq, 0.0), 2.0 * (dm - 1) / dm)
-    return math.sqrt(csq)
+    return float(concurrence_cost(psi.dims, party)(psi.amplitudes[None])[0])
 
 
 def tee_from_concurrence_sq(csq, q):
@@ -169,33 +225,10 @@ def tee_from_concurrence_sq(csq, q):
     The small eigenvalue is computed as x/(2(1+s)) so nothing cancels as
     x -> 0. Broadcasts over array x and array q; scalars in, scalar out.
     """
-    x = np.asarray(csq, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    if np.any(x < -_EDGE) or np.any(x > 1.0 + _EDGE):
-        raise DomainError("squared concurrence must lie in [0, 1]")
-    if np.any(~np.isfinite(qa)) or np.any(qa <= 0.0):
-        raise QRangeError("entropic order must be finite and positive")
-    x = np.clip(x, 0.0, 1.0)
+    x, qa = _check_xq(csq, q)
     s = np.sqrt(1.0 - x)
-    hi = (1.0 + s) / 2.0
-    lo = x / (2.0 * (1.0 + s))
-
-    hi_b, lo_b, q_b = np.broadcast_arrays(hi, lo, qa)
-    out = np.empty(hi_b.shape, dtype=float)
-
-    vn = q_b == 1.0
-    if np.any(vn):
-        h, l = hi_b[vn], lo_b[vn]
-        term = np.zeros_like(h)
-        pos = h > 0.0
-        term[pos] -= h[pos] * np.log(h[pos])
-        pos = l > 0.0
-        term[pos] -= l[pos] * np.log(l[pos])
-        out[vn] = term
-    gen = ~vn
-    if np.any(gen):
-        h, l, qq = hi_b[gen], lo_b[gen], q_b[gen]
-        out[gen] = (1.0 - h**qq - l**qq) / (qq - 1.0)
+    spec = np.stack([(1.0 + s) / 2.0, x / (2.0 * (1.0 + s))], axis=-1)
+    out = _tsallis_sum(spec, float(qa) if qa.ndim == 0 else qa[..., None])
     if out.shape == ():
         return float(out)
     return out
@@ -204,18 +237,20 @@ def tee_from_concurrence_sq(csq, q):
 def ef_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of formation of a two-qubit state, in nats."""
     c = concurrence_two_qubit(rho).c
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return float(tee_from_concurrence_sq(c * c, 1.0))
 
 
 def tee_pure(psi: PureState, party: int, q) -> float:
     """Tsallis-q entanglement of a pure state across the party/rest cut."""
+    from .roof import tee_cost  # roof imports this module
+
     qp = as_q(q)
     party = int(party)
     if party < 0 or party >= psi.num_sites:
         raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
     if psi.num_sites < 2:
         raise DomainError("a pure-state cut needs at least two subsystems")
-    return _tsallis(psi.reduced([party]).spectrum(), qp.q)
+    return float(tee_cost(psi.dims, party, qp.q)(psi.amplitudes[None])[0])
 
 
 def tee_two_qubit(rho: DensityMatrix, q, *, force_q: bool = False) -> float:

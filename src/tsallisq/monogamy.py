@@ -1,8 +1,8 @@
 """Monogamy residuals, the hierarchical variant, and the deficit indicator.
 
 All checks report through MonogamyReport: residual = lhs - sum(terms), and
-the inequality counts as satisfied when the residual clears -tolerance.  The
-q = 1 entries everywhere are the von Neumann limits in natural logs.
+the inequality counts as satisfied when the residual clears -tolerance.  At
+q = 1 every entry is the von Neumann value in natural logs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, QRangeError
+from .linalg import _bipartition
 from .measures import (
     QParam,
+    _check_q,
     as_q,
     concurrence_pure,
     concurrence_two_qubit,
@@ -177,25 +179,14 @@ def hierarchical_check(
         terms.append(tee_two_qubit(psi.reduced([focus, block[0]]), qp) ** 2)
         labels.append(block[0])
     else:
-        reduced = psi.reduced((focus,) + block)
-        party = sorted((focus,) + block).index(focus)
-        roof = roof_concurrence(_focus_vs_rest(reduced, party), config)
+        # the focus qubit against the merged block, with the singles traced out
+        mat = _bipartition(psi.amplitudes, psi.dims, (focus,) + block)
+        rho = mat @ mat.conj().T
+        cut = DensityMatrix((psi.dims[focus], rho.shape[0] // psi.dims[focus]), rho)
+        roof = roof_concurrence(cut, config)
         terms.append(float(tee_from_concurrence_sq(roof.value**2, qp.q)) ** 2)
         labels.append(tuple(block))
     return _build_report(qp, lhs, terms, labels, tolerance)
-
-
-def _focus_vs_rest(dm: DensityMatrix, party: int) -> DensityMatrix:
-    """Regroup a multi-site density matrix into (party, everything else)."""
-    dims = dm.dims
-    n = len(dims)
-    if n == 2 and party == 0:
-        return dm
-    order = [party] + [i for i in range(n) if i != party]
-    perm = order + [n + i for i in order]
-    rest = dm.dim // dims[party]
-    mat = dm.matrix.reshape(dims + dims).transpose(perm).reshape(dm.dim, dm.dim)
-    return DensityMatrix((dims[party], rest), mat)
 
 
 def indicator(
@@ -236,7 +227,7 @@ def w_indicator_closed_form(n: int, q):
     """Indicator of the n-qubit W state, any focus (they are all equivalent).
 
     f(4(n-1)/n^2)^2 - (n-1) f(4/n^2)^2 with f the squared-concurrence-to-TEE
-    map; broadcasts over q and handles q = 1 via the von Neumann limit.
+    map; broadcasts over q, q = 1 included.
     """
     n = int(n)
     if n < 2:
@@ -249,9 +240,7 @@ def w_indicator_closed_form(n: int, q):
 
 
 def _no_unit_q(q):
-    qa = np.asarray(q, dtype=float)
-    if np.any(~np.isfinite(qa)) or np.any(qa <= 0.0):
-        raise QRangeError("entropic order must be finite and positive")
+    qa = _check_q(q)
     if np.any(qa == 1.0):
         raise QRangeError("this closed form divides by (q - 1); q = 1 is excluded")
     return qa

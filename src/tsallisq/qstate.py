@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, StateFormatError
-from .linalg import partial_trace
+from .linalg import _bipartition, partial_trace
 
 MAX_TOTAL_DIM = 64
 
@@ -183,11 +183,7 @@ def reduced_density(psi: PureState, keep) -> DensityMatrix:
         raise PartitionError(f"keep {keep} out of range for {n} subsystems")
     if len(keep) == n:
         return psi.to_density()
-    drop = [i for i in range(n) if i not in keep]
-    tensor = psi.amplitudes.reshape(psi.dims)
-    mat = np.transpose(tensor, keep + drop).reshape(
-        int(np.prod([psi.dims[i] for i in keep])), -1
-    )
+    mat = _bipartition(psi.amplitudes, psi.dims, keep)
     rho = mat @ mat.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(tuple(psi.dims[i] for i in keep), rho)
@@ -377,20 +373,24 @@ def load_state(path: str):
         raise StateFormatError(f"{path}: {exc}") from exc
 
 
-def save_state(state, path: str) -> None:
-    """Write a PureState or DensityMatrix as JSON (the format load_state reads)."""
+def _state_payload(state) -> dict:
+    """The JSON object save_state writes for a PureState or DensityMatrix."""
     if isinstance(state, PureState):
-        payload = {
+        return {
             "dims": list(state.dims),
             "amplitudes": _complex_to_pairs(state.amplitudes),
         }
-    elif isinstance(state, DensityMatrix):
-        payload = {
+    if isinstance(state, DensityMatrix):
+        return {
             "dims": list(state.dims),
             "matrix": _complex_to_pairs(state.matrix),
         }
-    else:
-        raise TypeError(f"cannot serialize {type(state).__name__}")
+    raise TypeError(f"cannot serialize {type(state).__name__}")
+
+
+def save_state(state, path: str) -> None:
+    """Write a PureState or DensityMatrix as JSON (the format load_state reads)."""
+    payload = _state_payload(state)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")

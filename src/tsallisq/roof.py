@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .measures import tee_from_concurrence_sq
+from .linalg import _bipartition
+from .measures import _spin_flip_overlaps, _tsallis_sum, tee_from_concurrence_sq
 from .qstate import Decomposition, DensityMatrix, PureState
 
 _RANK_TOL = 1e-10
@@ -309,16 +310,6 @@ def minimize_roof(
 # --- pure-state cost factories -----------------------------------------------
 
 
-def _batched_marginal(states: np.ndarray, dims, party: int) -> np.ndarray:
-    """Gram matrices of the party marginal for a batch of pure vectors."""
-    n = states.shape[0]
-    d = dims[party]
-    tensor = states.reshape((n,) + tuple(dims))
-    axes = [0, party + 1] + [a + 1 for a in range(len(dims)) if a != party]
-    mat = np.transpose(tensor, axes).reshape(n, d, -1)
-    return np.einsum("nij,nkj->nik", mat, mat.conj())
-
-
 def _eig2_descending(gram: np.ndarray) -> np.ndarray:
     """Closed-form eigenvalues of a batch of 2x2 Hermitian matrices."""
     a = gram[:, 0, 0].real
@@ -331,14 +322,6 @@ def _eig2_descending(gram: np.ndarray) -> np.ndarray:
     return np.stack([hi, lo], axis=1)
 
 
-def _batched_tsallis(probs: np.ndarray, q: float) -> np.ndarray:
-    p = np.clip(probs, 0.0, None)
-    if q == 1.0:
-        terms = np.where(p > 0.0, -p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-        return terms.sum(axis=1)
-    return (1.0 - (p**q).sum(axis=1)) / (q - 1.0)
-
-
 def tee_cost(dims, party: int, q: float):
     """Pure-state Tsallis-q entanglement across party|rest, batched."""
     dims = tuple(int(d) for d in dims)
@@ -349,12 +332,13 @@ def tee_cost(dims, party: int, q: float):
     two = dims[party] == 2
 
     def cost(states: np.ndarray) -> np.ndarray:
-        gram = _batched_marginal(states, dims, party)
+        mat = _bipartition(states, dims, (party,))
+        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
         if two:
             spec = _eig2_descending(gram)
         else:
             spec = np.linalg.eigvalsh(gram)
-        return _batched_tsallis(spec, q)
+        return _tsallis_sum(spec, q)
 
     return cost
 
@@ -372,15 +356,13 @@ def concurrence_cost(dims, party: int):
     ceiling = 2.0 * (min(dims[party], rest) - 1) / min(dims[party], rest)
 
     def cost(states: np.ndarray) -> np.ndarray:
-        gram = _batched_marginal(states, dims, party)
+        mat = _bipartition(states, dims, (party,))
+        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
         purity = np.einsum("nij,nij->n", gram, gram.conj()).real
         csq = np.clip(2.0 * (1.0 - purity), 0.0, ceiling)
         return np.sqrt(csq)
 
     return cost
-
-
-_FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _pair_concurrence_sq_batch(states: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
@@ -395,13 +377,7 @@ def _pair_concurrence_sq_batch(states: np.ndarray, keep: tuple[int, int]) -> np.
     squares |a - u d*|^2 + |b + u b*|^2 with tau = [[a, b], [b, d]] and
     u = det/|det| (1 when det = 0), which cancels nothing when s1 ~ s2.
     """
-    n = states.shape[0]
-    tensor = states.reshape(n, 2, 2, 2)
-    drop = ({0, 1, 2} - set(keep)).pop()
-    axes = [0, keep[0] + 1, keep[1] + 1, drop + 1]
-    mat = np.transpose(tensor, axes).reshape(n, 4, 2)
-    # sigma_y x sigma_y is the row reversal with signs (-, +, +, -)
-    tau = np.einsum("nik,nil->nkl", mat, _FLIP_SIGN[:, None] * mat[:, ::-1])
+    tau = _spin_flip_overlaps(_bipartition(states, (2, 2, 2), keep))
     a, b, d = tau[:, 0, 0], tau[:, 0, 1], tau[:, 1, 1]
     det = a * d - b * b
     u = np.exp(1j * np.angle(det))
@@ -425,8 +401,9 @@ def indicator_summand_cost(dims, focus: int, q: float):
     partners = tuple(j for j in range(3) if j != focus)
 
     def cost(states: np.ndarray) -> np.ndarray:
-        gram = _batched_marginal(states, dims, focus)
-        total = _batched_tsallis(_eig2_descending(gram), q) ** 2
+        mat = _bipartition(states, dims, (focus,))
+        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+        total = _tsallis_sum(_eig2_descending(gram), q) ** 2
         for j in partners:
             csq = _pair_concurrence_sq_batch(states, (focus, j))
             total = total - tee_from_concurrence_sq(csq, q) ** 2

@@ -159,6 +159,17 @@ def test_state_writes_loadable_json(tmp_path):
     assert back.dims == (2, 2, 2, 2)
 
 
+def test_state_stdout_matches_save_state(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    for state in (random_pure_state((2, 3), rng), random_biseparable_mixture(rng, members=2)):
+        path = str(tmp_path / "s.json")
+        save_state(state, path)
+        capsys.readouterr()
+        assert main(["state", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
 def test_state_resolution_errors(capsys):
     assert main(["tee", "nope:3", "--q", "2"]) == 1
     assert "unknown state" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from tsallisq import DomainError, PartitionError
 from tsallisq.linalg import (
+    _bipartition,
     hermitian_eigenvalues,
     hermitian_eigensystem,
     kron,
@@ -120,3 +121,21 @@ def test_partial_trace_bad_keep(keep):
 def test_partial_trace_dims_mismatch():
     with pytest.raises(PartitionError):
         partial_trace(np.eye(4) / 4, (2, 3), (0,))
+
+
+@pytest.mark.parametrize("keep", [(0,), (2,), (1, 2), (2, 0), (1, 0, 2)])
+def test_bipartition_gram_is_partial_trace(keep):
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 2)
+    vecs = rng.normal(size=(2, 3, 12)) + 1j * rng.normal(size=(2, 3, 12))
+    mats = _bipartition(vecs, dims, keep)
+    side = int(np.prod([dims[i] for i in keep]))
+    assert mats.shape == (2, 3, side, 12 // side)
+    # partial_trace orders the kept factors by index; undo keep's order
+    kd = [dims[i] for i in keep]
+    order = list(np.argsort(keep))
+    for vec, mat in zip(vecs.reshape(-1, 12), mats.reshape(-1, side, 12 // side)):
+        gram = (mat @ mat.conj().T).reshape(kd + kd)
+        gram = gram.transpose(order + [len(keep) + i for i in order]).reshape(side, side)
+        ref = partial_trace(np.outer(vec, vec.conj()), dims, keep)
+        assert np.max(np.abs(gram - ref)) <= 1e-13

@@ -27,6 +27,8 @@ from tsallisq import (
     tsallis_entropy,
     w_state,
 )
+from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
+from tsallisq.roof import _pair_concurrence_sq_batch, concurrence_cost, tee_cost
 
 LN2 = math.log(2.0)
 
@@ -196,6 +198,81 @@ def test_tee_curve_continuous_at_q_one(x):
     assert abs(near - at_one) < 1e-6
     near = tee_from_concurrence_sq(x, 1.0 - 1e-8)
     assert abs(near - at_one) < 1e-6
+
+
+def _q_one_subjects():
+    rng = np.random.default_rng(11)
+    xs = np.array([0.05, 0.5, 0.95])
+    psi = random_pure_state((2, 3, 2), rng)
+    rhos = [random_pure_state((2, 3), rng).reduced([1]), psi.reduced([0, 2])]
+    batch = np.stack([random_pure_state((2, 2, 2), rng).amplitudes for _ in range(6)])
+    return {
+        "tee_from_concurrence_sq": lambda q: tee_from_concurrence_sq(xs, q),
+        "tsallis_entropy": lambda q: np.array([tsallis_entropy(r, q) for r in rhos]),
+        "tee_pure": lambda q: np.array([tee_pure(psi, p, q) for p in range(3)]),
+        "tee_cost": lambda q: tee_cost((2, 2, 2), 1, q)(batch),
+        "tee_curvature": lambda q: tee_curvature(xs, q),
+        "tee_sq_curvature": lambda q: tee_sq_curvature(xs, q),
+        "tee_curvature_wrt_c": lambda q: tee_curvature_wrt_c(q, np.sqrt(xs)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_q_one_subjects()))
+def test_q_one_neighbours_follow_the_tangent(name):
+    # f(1 +- delta) may leave f(1) only by the slope times delta; a formula
+    # that cancels in (q - 1) adds ~eps/delta on top (1e-4 at delta = 1e-12)
+    f = _q_one_subjects()[name]
+    at_one = f(1.0)
+    slope = (f(1.0 + 1e-4) - f(1.0 - 1e-4)) / 2e-4
+    for delta in (1e-8, 1e-10, 1e-12):
+        for sign in (1.0, -1.0):
+            step = f(1.0 + sign * delta) - at_one
+            assert np.max(np.abs(step - sign * delta * slope)) <= 1e-10
+
+
+def _local_unitary(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.just(1.0), st.floats(ANALYTIC_Q_MIN, ANALYTIC_Q_MAX)),
+)
+def test_scalar_and_batched_routes_agree(seed, q):
+    rng = np.random.default_rng(seed)
+    local = np.kron(np.kron(_local_unitary(rng), _local_unitary(rng)), _local_unitary(rng))
+    product = np.kron(np.kron(_local_unitary(rng)[:, 0], _local_unitary(rng)[:, 0]), [1.0, 0.0])
+    states = [random_pure_state((2, 2, 2), rng) for _ in range(4)]
+    states += [PureState((2, 2, 2), local @ w_state(3).amplitudes), PureState((2, 2, 2), product)]
+    batch = np.stack([psi.amplitudes for psi in states])
+    for party in range(3):
+        got = tee_cost((2, 2, 2), party, q)(batch)
+        assert np.max(np.abs(got - [tee_pure(psi, party, q) for psi in states])) <= 1e-12
+        got = concurrence_cost((2, 2, 2), party)(batch)
+        assert np.max(np.abs(got - [concurrence_pure(psi, party) for psi in states])) <= 1e-12
+    for keep in ((0, 1), (0, 2), (1, 2)):
+        got = np.sqrt(_pair_concurrence_sq_batch(batch, keep))
+        ref = [concurrence_two_qubit(psi.reduced(keep)).c for psi in states]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+    qudit = random_pure_state((2, 3, 2), rng)
+    for party in range(3):
+        got = tee_cost(qudit.dims, party, q)(qudit.amplitudes[None])[0]
+        assert abs(got - tee_pure(qudit, party, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_concurrence_two_qubit_zero_on_product_pairs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        vec = np.ones(1, dtype=complex)
+        for _ in range(n):
+            vec = np.kron(vec, random_pure_state((2,), rng).amplitudes)
+        psi = PureState((2,) * n, vec)
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert concurrence_two_qubit(psi.reduced([i, j])).c <= 1e-14
 
 
 # --- state-level wrappers ------------------------------------------------------

@@ -304,8 +304,7 @@ def test_tau_pair_concurrence_matches_wootters(rng):
 
 
 def test_tau_pair_concurrence_product_is_zero(rng):
-    # a pure product pair has C = 0 exactly; compared with 0 rather than with
-    # concurrence_two_qubit, which reads up to ~5e-9 on such pairs
+    # a pure product pair has C = 0 exactly
     def qubit():
         return random_pure_state((2,), rng).amplitudes
 
