@@ -19,6 +19,7 @@ q-logarithms, so q = 1 needs no separate von Neumann branch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -277,6 +278,16 @@ def _fmt12(value: float) -> str:
     return format(v, ".12g")
 
 
+def _grid_csv(fh, labels, axes, values) -> None:
+    """CSV of values on the product of axes: a header, then one row
+    (*point, value) per point with values in row-major order.  Every number is
+    _fmt12; each coordinate is formatted once."""
+    points = itertools.product(*([_fmt12(v) for v in axis] for axis in axes))
+    fh.write(",".join((*labels, "value")) + "\n")
+    for point, v in zip(points, np.asarray(values).ravel()):
+        fh.write(f"{','.join(point)},{_fmt12(v)}\n")
+
+
 @dataclass(frozen=True)
 class DerivativeSample:
     """One grid point of a curvature scan."""
@@ -307,10 +318,7 @@ class SignScanReport:
 
     def to_csv(self, fh) -> None:
         """Write the full grid as CSV (x, q, value) with %.12g formatting."""
-        fh.write(f"{self.xlabel},q,value\n")
-        for i, xv in enumerate(self.xs):
-            for j, qv in enumerate(self.qs):
-                fh.write(f"{_fmt12(xv)},{_fmt12(qv)},{_fmt12(self.values[i, j])}\n")
+        _grid_csv(fh, (self.xlabel, "q"), (self.xs, self.qs), self.values)
 
     def summary(self) -> dict:
         return {
@@ -333,7 +341,15 @@ class SignScanReport:
         }
 
 
-def scan_sign(kind, xs, qs, claimed_sign, tolerance=1e-10) -> SignScanReport:
+_SIGN_TOL = 1e-10
+
+
+def _sign_violations(values, claimed_sign, tolerance=_SIGN_TOL):
+    """Mask of values beyond +-tolerance on the wrong side of the claimed sign."""
+    return values < -tolerance if claimed_sign == "nonnegative" else values > tolerance
+
+
+def scan_sign(kind, xs, qs, claimed_sign, tolerance=_SIGN_TOL) -> SignScanReport:
     """Evaluate one curvature kind on the xs x qs grid and test a sign claim.
 
     claimed_sign is "nonnegative" or "nonpositive"; values inside +-tolerance
@@ -354,11 +370,7 @@ def scan_sign(kind, xs, qs, claimed_sign, tolerance=1e-10) -> SignScanReport:
         raise DomainError("scan grids must be nonempty")
     values = np.asarray(func(xs[:, None], qs[None, :]), dtype=float)
 
-    if claimed_sign == "nonnegative":
-        bad = values < -tolerance
-    else:
-        bad = values > tolerance
-    bad |= np.isnan(values)
+    bad = _sign_violations(values, claimed_sign, tolerance) | np.isnan(values)
     violations = tuple(
         DerivativeSample(kind=kind, x=float(xs[i]), q=float(qs[j]), value=float(values[i, j]))
         for i, j in zip(*np.nonzero(bad))

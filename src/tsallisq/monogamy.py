@@ -110,20 +110,12 @@ def ckw_check(psi: PureState, focus: int = 0, tolerance: float = 1e-9) -> Monoga
 def tee_sq_residual(
     psi: PureState, focus: int, q, tolerance: float = _DEFAULT_TOL
 ) -> MonogamyReport:
-    """Squared-TEE monogamy for an N-qubit pure state.
+    """Squared-TEE monogamy for an N-qubit pure state: alpha_residual at alpha 2.
 
     Valid across the whole closed-form window; the pair terms go through the
     concurrence formula, which is exact there.
     """
-    qp = as_q(q)
-    if not qp.analytic_two_qubit:
-        raise QRangeError(
-            f"q={qp.q:.12g} is outside the window where pair terms are exact"
-        )
-    partners = _require_qubits(psi, focus)
-    lhs = tee_pure(psi, focus, qp) ** 2
-    terms = [tee_two_qubit(psi.reduced([focus, j]), qp) ** 2 for j in partners]
-    return _build_report(qp, lhs, terms, partners, tolerance)
+    return alpha_residual(psi, focus, 2.0, q, tolerance)
 
 
 def alpha_residual(

@@ -40,21 +40,14 @@ _DROP_WEIGHT = 1e-12
 
 @dataclass(frozen=True)
 class RoofConfig:
-    """Optimizer knobs.
+    """Optimizer knobs."""
 
-    max_ensemble_size defaults to twice the state's rank, which is enough for
-    every optimal decomposition this package targets.
-    """
-
-    max_ensemble_size: int | None = None
     restarts: int = 32
     max_iterations: int = 2000
     tolerance: float = 1e-7
     seed: int = 42
 
     def __post_init__(self):
-        if self.max_ensemble_size is not None and self.max_ensemble_size < 1:
-            raise DomainError("max_ensemble_size must be positive when given")
         if self.restarts < 1:
             raise DomainError("need at least one restart")
         if self.max_iterations < 1:
@@ -194,9 +187,7 @@ def minimize_roof(
             stop_reason="exact",
         )
 
-    m = cfg.max_ensemble_size if cfg.max_ensemble_size is not None else 2 * r
-    if m < r:
-        raise DomainError(f"max_ensemble_size {m} is below the state rank {r}")
+    m = 2 * r  # ensemble size: enough for every optimal decomposition targeted here
 
     b_mat = np.sqrt(lam)[:, None] * basis.T  # (r, dim); transpose, never dagger
     n_par = 2 * m * r

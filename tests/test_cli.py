@@ -110,9 +110,11 @@ def test_monogamy_human_format(capsys):
 
 
 def test_monogamy_variant_exclusion(capsys):
-    assert main(["monogamy", "w:3", "--ckw", "--q", "2"]) == 1
-    err = capsys.readouterr().err
-    assert "ckw" in err.lower()
+    # --ckw is q-free and has no alpha or hierarchy variant
+    for flag in (["--q", "2"], ["--alpha", "3"], ["--k", "3"]):
+        assert main(["monogamy", "w:3", "--ckw", *flag]) == 1, flag
+        captured = capsys.readouterr()
+        assert "ckw" in captured.err.lower() and captured.out == ""
 
 
 def test_indicator_upper_bound_marker(tmp_path, capsys, rng):
@@ -256,6 +258,57 @@ def test_verify_examples_fails_by_design(capsys):
     assert main(["verify", "examples"]) == 3
     out = capsys.readouterr().out
     assert "FAIL examples/example3-grid-nonnegative" in out
+
+
+VERIFY_INVENTORY = [
+    ("appendix-a", "critical-q-roots"),
+    ("appendix-a", "limit-sign-change"),
+    ("appendix-a", "window-convexity-grid"),
+    ("appendix-a", "vn-branch-continuity"),
+    ("appendix-b", "sq-curvature-nonnegative"),
+    ("appendix-b", "constant-curvature-q2-q3"),
+    ("appendix-b", "q4-left-endpoint"),
+    ("appendix-b", "finite-difference-agreement"),
+    ("appendix-c", "concave-low-band"),
+    ("appendix-c", "convex-middle-band"),
+    ("appendix-c", "concave-high-band"),
+    ("appendix-c", "special-q-values"),
+    ("appendix-c", "finite-difference-agreement"),
+    ("appendix-d", "example3-theta-pi4-q2"),
+    ("appendix-d", "example4-q2"),
+    ("appendix-d", "example5-q2"),
+    ("appendix-d", "example5-q3"),
+    ("appendix-d", "w3-q2"),
+    ("appendix-d", "ghz3-q2"),
+    ("appendix-d", "w3-alpha3-q2"),
+    ("appendix-d", "example4-root"),
+    ("appendix-d", "example5-root"),
+    ("theorem3-sweep", "alpha2-reduces-to-squared"),
+    ("theorem3-sweep", "alpha-monogamy-sweep"),
+    ("theorem3-sweep", "hierarchical-k3"),
+    ("theorem3-sweep", "hierarchical-k-equals-n"),
+    ("theorem3-sweep", "power-inequalities"),
+    ("examples", "example4-root"),
+    ("examples", "example5-root"),
+    ("examples", "example3-grid-nonnegative"),
+    ("examples", "gw-separable-zeros"),
+    ("examples", "gw-regression-values"),
+    ("examples", "gw-grid-nonnegative"),
+]
+
+
+def test_verify_all_inventory(capsys):
+    # every suite's checks in order; only the whole-window 4x2x2 claim fails
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "all", "--json"]) == 3
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert (payload["passed"], payload["total"], payload["ok"]) == (32, 33, False)
+    got = [(s["suite"], c["name"], c["passed"]) for s in payload["suites"] for c in s["checks"]]
+    failing = ("examples", "example3-grid-nonnegative")
+    assert got == [(*key, key != failing) for key in VERIFY_INVENTORY]
 
 
 def test_verify_unknown_suite(capsys):
