@@ -53,33 +53,9 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)[::-1]
 
 
-def hermitian_eigensystem(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of a Hermitian matrix, descending.
-
-    Column k of the returned matrix is the eigenvector for eigenvalue k.
-    """
-    mat = _require_square(mat, "matrix")
-    _require_hermitian(mat, "matrix")
-    vals, vecs = np.linalg.eigh(mat)
-    return vals[::-1], vecs[:, ::-1]
-
-
-def psd_sqrt(mat: np.ndarray, *, neg_tol: float = 1e-8) -> np.ndarray:
-    """Principal square root of a positive semidefinite Hermitian matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything below -neg_tol
-    is a genuine negativity and raises.
-    """
-    mat = _require_square(mat, "matrix")
-    _require_hermitian(mat, "matrix")
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.size and vals[0] < -neg_tol:
-        raise DomainError(
-            f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
-        )
-    vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+def _sq_norms(vecs: np.ndarray) -> np.ndarray:
+    """Squared 2-norms along the last axis."""
+    return (vecs.real**2 + vecs.imag**2).sum(axis=-1)
 
 
 def _bipartition(vecs: np.ndarray, dims, keep) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QRangeError
-from .linalg import hermitian_eigenvalues, kron
+from .linalg import _bipartition, _sq_norms, hermitian_eigenvalues
 from .qstate import DensityMatrix, PureState
 
 # closed-form two-qubit window: roots of q^2 - 5q + 3
@@ -25,8 +25,6 @@ ANALYTIC_Q_MAX = (5.0 + math.sqrt(13.0)) / 2.0
 
 _EDGE = 1e-12
 
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_FLIP = kron(_SIGMA_Y, _SIGMA_Y)
 # sigma_y x sigma_y is the row reversal with signs (-, +, +, -)
 _FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 _NEAR_ONE = 0.25
@@ -103,6 +101,50 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
+def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
+    """Descending Wootters l_i of a stack (..., 4, 4) of two-qubit states.
+
+    With rho = L L^dagger taken from the eigendecomposition, the l_i are the
+    singular values of tau = L^T (sigma_y x sigma_y) L.  Eigenvalues of rho
+    at or below the numerical-rank cutoff 4 eps max(spectrum) count as zero:
+    they are rounding noise, and their square roots would enter L as ~1e-8
+    columns.
+    """
+    vals, vecs = np.linalg.eigh(rho)
+    vals[vals <= 4.0 * np.finfo(float).eps * vals[..., -1:]] = 0.0
+    l_mat = vecs * np.sqrt(vals)[..., None, :]
+    return np.linalg.svd(_spin_flip_overlaps(l_mat), compute_uv=False)
+
+
+def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
+    """Squared Wootters concurrence of each qubit pair, for a batch of pure
+    vectors (..., dim); returns (..., len(pairs)).
+
+    Each pair marginal is M M^dagger with M the 4 x k reshaping of a vector.
+    For k > 2 the 4x4 marginal goes through _wootters_lambdas.  For k = 2
+    (three qubits) the spin-flipped overlaps form the complex symmetric 2x2
+    matrix tau = M^T (sigma_y x sigma_y) M, whose singular values s1 >= s2
+    are the square roots of the nonzero eigenvalues of rho rho~.  Then
+    C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated as the sum of
+    squares |a - u d*|^2 + |b + u b*|^2 with tau = [[a, b], [b, d]] and
+    u = det/|det| (1 when det = 0), which cancels nothing when s1 ~ s2.
+    """
+    m = np.stack([_bipartition(vecs, dims, sorted(p)) for p in pairs], axis=-3)
+    if m.shape[-1] == 2:
+        tau = _spin_flip_overlaps(m)
+        a, b, d = tau[..., 0, 0], tau[..., 0, 1], tau[..., 1, 1]
+        det = a * d - b * b
+        mag = np.abs(det)
+        u = np.ones_like(det)
+        np.divide(det, mag, out=u, where=mag > 0.0)
+        return _sq_norms(np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1))
+    gram = m @ np.swapaxes(m.conj(), -1, -2)
+    gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
+    lam = _wootters_lambdas(gram)
+    c = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+    return c * c
+
+
 @dataclass(frozen=True)
 class QParam:
     """Entropic order q with the range predicates the package keys off."""
@@ -174,31 +216,17 @@ def binary_entropy(p: float) -> float:
     return float(_tsallis_sum(np.array([p, 1.0 - p]), 1.0))
 
 
-def spin_flip_two_qubit(mat: np.ndarray) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y) on a bare 4x4 matrix."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (4, 4):
-        raise DomainError(f"spin flip needs a 4x4 matrix, got shape {mat.shape}")
-    return _FLIP @ mat.conj() @ _FLIP
-
-
 def concurrence_two_qubit(rho) -> ConcurrenceValue:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
-    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix.  With
-    rho = L L^dagger taken from the eigendecomposition, the l_i are the
-    singular values of tau = L^T (sigma_y x sigma_y) L, the construction the
-    batched pair kernel uses.  Eigenvalues of rho at or below the
-    numerical-rank cutoff 4 eps max(spectrum) count as zero: they are
-    rounding noise, and their square roots would enter L as ~1e-8 columns.
+    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix; the l_i
+    come from _wootters_lambdas.
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
     if rho.dims != (2, 2):
         raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    vals[vals <= 4.0 * np.finfo(float).eps * vals[-1]] = 0.0
-    lam = np.linalg.svd(_spin_flip_overlaps(vecs * np.sqrt(vals)), compute_uv=False)
+    lam = _wootters_lambdas(rho.matrix)
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return ConcurrenceValue(c=c, lambdas=tuple(float(v) for v in lam))
 

@@ -17,12 +17,11 @@ from .linalg import _bipartition
 from .measures import (
     QParam,
     _check_q,
+    _pair_concurrence_sq,
     as_q,
     concurrence_pure,
-    concurrence_two_qubit,
     tee_from_concurrence_sq,
     tee_pure,
-    tee_two_qubit,
 )
 from .qstate import DensityMatrix, PureState
 from .roof import (
@@ -97,13 +96,16 @@ def _require_qubits(psi: PureState, focus: int) -> tuple[int, ...]:
     return tuple(j for j in range(psi.num_sites) if j != focus)
 
 
+def _pair_csq(psi: PureState, focus: int, partners) -> np.ndarray:
+    """Squared concurrences of the pairs (focus, j), one per partner j."""
+    return _pair_concurrence_sq(psi.amplitudes, psi.dims, [(focus, j) for j in partners])
+
+
 def ckw_check(psi: PureState, focus: int = 0, tolerance: float = 1e-9) -> MonogamyReport:
     """Squared-concurrence monogamy for an N-qubit pure state."""
     partners = _require_qubits(psi, focus)
     lhs = concurrence_pure(psi, focus) ** 2
-    terms = [
-        concurrence_two_qubit(psi.reduced([focus, j])).c ** 2 for j in partners
-    ]
+    terms = _pair_csq(psi, focus, partners)
     return _build_report(None, lhs, terms, partners, tolerance)
 
 
@@ -132,7 +134,9 @@ def alpha_residual(
         )
     partners = _require_qubits(psi, focus)
     lhs = tee_pure(psi, focus, qp) ** alpha
-    terms = [tee_two_qubit(psi.reduced([focus, j]), qp) ** alpha for j in partners]
+    # a Python float power, which numpy's array power does not match bit for bit
+    pair_tee = tee_from_concurrence_sq(_pair_csq(psi, focus, partners), qp.q)
+    terms = [float(t) ** alpha for t in pair_tee]
     return _build_report(qp, lhs, terms, partners, tolerance)
 
 
@@ -149,7 +153,8 @@ def hierarchical_check(
     The first k-2 partners keep their own pair term; the remaining qubits are
     merged into one block whose term is the 2xd closed form on the block's
     roof concurrence.  Needs the concave regime, where that form is exact.
-    At k = N no block is left and this reduces to tee_sq_residual.
+    At k = N the last partner is one more single, no block is left, and this
+    reduces to tee_sq_residual.
     """
     qp = as_q(q)
     if not qp.concave_regime:
@@ -162,15 +167,13 @@ def hierarchical_check(
     if k < 3 or k > n:
         raise DomainError(f"k must lie in [3, {n}], got {k}")
 
-    singles = partners[: k - 2]
-    block = partners[k - 2 :]
+    singles = partners if k == n else partners[: k - 2]
+    block = partners[len(singles) :]
     lhs = tee_pure(psi, focus, qp) ** 2
-    terms = [tee_two_qubit(psi.reduced([focus, j]), qp) ** 2 for j in singles]
+    pair_tee = tee_from_concurrence_sq(_pair_csq(psi, focus, singles), qp.q)
+    terms = [float(t) ** 2 for t in pair_tee]
     labels = list(singles)
-    if len(block) == 1:
-        terms.append(tee_two_qubit(psi.reduced([focus, block[0]]), qp) ** 2)
-        labels.append(block[0])
-    else:
+    if block:
         # the focus qubit against the merged block, with the singles traced out
         mat = _bipartition(psi.amplitudes, psi.dims, (focus,) + block)
         rho = mat @ mat.conj().T

@@ -317,10 +317,11 @@ def load_state(path: str):
         raise StateFormatError(f"{path}: top level must be a JSON object")
     if "dims" not in payload:
         raise StateFormatError(f"{path}: missing required key 'dims'")
-    try:
-        dims = tuple(int(d) for d in payload["dims"])
-    except (TypeError, ValueError) as exc:
-        raise StateFormatError(f"{path}: 'dims' must be a list of integers") from exc
+    dims = payload["dims"]
+    # JSON integers only: int() would truncate 2.9 and parse "2"; bool is an int subclass
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise StateFormatError(f"{path}: 'dims' must be a list of integers")
+    dims = tuple(dims)
 
     has_amp = "amplitudes" in payload
     has_mat = "matrix" in payload

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition
-from .measures import _spin_flip_overlaps, _tsallis_sum, tee_from_concurrence_sq
+from .linalg import _bipartition, _sq_norms
+from .measures import _pair_concurrence_sq, _tsallis_sum, tee_from_concurrence_sq
 from .qstate import Decomposition, DensityMatrix, PureState
 
 _RANK_TOL = 1e-10
@@ -89,10 +89,6 @@ def _eigenbasis(rho: DensityMatrix):
         if abs(piv) > 0.0:
             basis[:, j] *= piv.conjugate() / abs(piv)
     return lam, basis
-
-
-def _sq_norms(vecs: np.ndarray) -> np.ndarray:
-    return (vecs.real**2 + vecs.imag**2).sum(axis=-1)
 
 
 def _phase_fixed_isometries(mats: np.ndarray) -> np.ndarray:
@@ -356,25 +352,6 @@ def concurrence_cost(dims, party: int):
     return cost
 
 
-def _pair_concurrence_sq_batch(states: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
-    """Squared Wootters concurrence of the kept pair, for a batch of
-    three-qubit pure vectors.
-
-    The pair marginal is M M^dagger with M the 4x2 reshaping of each vector,
-    so the spin-flipped overlaps form the complex symmetric 2x2 matrix
-    tau = M^T (sigma_y x sigma_y) M, whose singular values s1 >= s2 are the
-    square roots of the nonzero eigenvalues of rho rho~.  Then
-    C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated here as the sum of
-    squares |a - u d*|^2 + |b + u b*|^2 with tau = [[a, b], [b, d]] and
-    u = det/|det| (1 when det = 0), which cancels nothing when s1 ~ s2.
-    """
-    tau = _spin_flip_overlaps(_bipartition(states, (2, 2, 2), keep))
-    a, b, d = tau[:, 0, 0], tau[:, 0, 1], tau[:, 1, 1]
-    det = a * d - b * b
-    u = np.exp(1j * np.angle(det))
-    return _sq_norms(np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1))
-
-
 def indicator_summand_cost(dims, focus: int, q: float):
     """Monogamy-deficit summand for three-qubit pure members, batched.
 
@@ -389,16 +366,12 @@ def indicator_summand_cost(dims, focus: int, q: float):
     if focus not in (0, 1, 2):
         raise DomainError(f"focus {focus} out of range for three qubits")
     q = float(q)
-    partners = tuple(j for j in range(3) if j != focus)
+    pairs = [(focus, j) for j in range(3) if j != focus]
+    focus_tee = tee_cost(dims, focus, q)
 
     def cost(states: np.ndarray) -> np.ndarray:
-        mat = _bipartition(states, dims, (focus,))
-        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-        total = _tsallis_sum(_eig2_descending(gram), q) ** 2
-        for j in partners:
-            csq = _pair_concurrence_sq_batch(states, (focus, j))
-            total = total - tee_from_concurrence_sq(csq, q) ** 2
-        return total
+        pair_tee = tee_from_concurrence_sq(_pair_concurrence_sq(states, dims, pairs), q)
+        return focus_tee(states) ** 2 - pair_tee[:, 0] ** 2 - pair_tee[:, 1] ** 2
 
     return cost
 

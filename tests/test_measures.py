@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +21,6 @@ from tsallisq import (
     ef_two_qubit,
     ghz,
     random_pure_state,
-    spin_flip_two_qubit,
     tee_2xd,
     tee_from_concurrence_sq,
     tee_pure,
@@ -28,7 +29,9 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
-from tsallisq.roof import _pair_concurrence_sq_batch, concurrence_cost, tee_cost
+from tsallisq.linalg import _bipartition
+from tsallisq.measures import _pair_concurrence_sq, _wootters_lambdas
+from tsallisq.roof import concurrence_cost, tee_cost
 
 LN2 = math.log(2.0)
 
@@ -92,12 +95,6 @@ def test_binary_entropy_extremes():
 
 
 # --- concurrence --------------------------------------------------------------
-
-
-def test_spin_flip_involution(rng):
-    psi = random_pure_state((2, 2), rng)
-    rho = psi.to_density().matrix
-    assert np.allclose(spin_flip_two_qubit(spin_flip_two_qubit(rho)), rho)
 
 
 def test_concurrence_bell(bell):
@@ -253,7 +250,7 @@ def test_scalar_and_batched_routes_agree(seed, q):
         got = concurrence_cost((2, 2, 2), party)(batch)
         assert np.max(np.abs(got - [concurrence_pure(psi, party) for psi in states])) <= 1e-12
     for keep in ((0, 1), (0, 2), (1, 2)):
-        got = np.sqrt(_pair_concurrence_sq_batch(batch, keep))
+        got = np.sqrt(_pair_concurrence_sq(batch, (2, 2, 2), [keep])[:, 0])
         ref = [concurrence_two_qubit(psi.reduced(keep)).c for psi in states]
         assert np.max(np.abs(got - ref)) <= 1e-12
     qudit = random_pure_state((2, 3, 2), rng)
@@ -273,6 +270,53 @@ def test_concurrence_two_qubit_zero_on_product_pairs(n):
         for i in range(n):
             for j in range(i + 1, n):
                 assert concurrence_two_qubit(psi.reduced([i, j])).c <= 1e-14
+
+
+def _kernel_test_state(kind, n, rng):
+    if kind == "random":
+        return random_pure_state((2,) * n, rng)
+    local = [_local_unitary(rng) for _ in range(n)]
+    if kind == "product":
+        return PureState((2,) * n, functools.reduce(np.kron, [u[:, 0] for u in local]))
+    base = w_state(n) if kind == "w" else ghz(n)
+    return PureState((2,) * n, functools.reduce(np.kron, local) @ base.amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.sampled_from(["random", "product", "w", "ghz"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_kernel_matches_wootters_on_marginals(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    states = [_kernel_test_state(kind, n, rng) for _ in range(3)]
+    pairs = list(itertools.combinations(range(n), 2))
+    got = _pair_concurrence_sq(np.stack([psi.amplitudes for psi in states]), (2,) * n, pairs)
+    assert got.shape == (3, len(pairs))
+    for row, psi in zip(got, states):
+        ref = [concurrence_two_qubit(psi.reduced(pair)).c ** 2 for pair in pairs]
+        assert np.max(np.abs(row - ref)) <= 1e-12
+
+
+def test_pair_kernel_closed_form_matches_general_branch(rng):
+    # three qubits take the 2x2 closed form; the 4x4 route must agree on the same Gram
+    states = [random_pure_state((2, 2, 2), rng) for _ in range(30)]
+    states += [_kernel_test_state(kind, 3, rng) for kind in ("product", "w", "ghz") for _ in range(5)]
+    batch = np.stack([psi.amplitudes for psi in states])
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    got = _pair_concurrence_sq(batch, (2, 2, 2), pairs)
+    for col, pair in enumerate(pairs):
+        m = _bipartition(batch, (2, 2, 2), pair)
+        lam = _wootters_lambdas(m @ np.swapaxes(m.conj(), -1, -2))
+        ref = np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0) ** 2
+        assert np.max(np.abs(got[:, col] - ref)) <= 1e-12
+
+
+def test_pair_kernel_ghz3_pairs_exactly_zero():
+    # tau = [[0, -1/2], [-1/2, 0]] has det = -1/4; the unit phase must be exactly -1
+    got = _pair_concurrence_sq(ghz(3).amplitudes, (2, 2, 2), [(0, 1), (0, 2), (2, 1)])
+    assert got.tolist() == [0.0, 0.0, 0.0]
 
 
 # --- state-level wrappers ------------------------------------------------------

@@ -192,6 +192,15 @@ def test_load_rejects_large_norm_drift(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("dims", [[2.9, 2], ["2", 2], [True, 2, 2]])
+def test_load_rejects_non_integer_dims(tmp_path, dims):
+    bell = [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"dims": dims, "amplitudes": bell}))
+    with pytest.raises(StateFormatError, match="'dims' must be a list of integers"):
+        load_state(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), st.integers(0, 2**31))
 def test_roundtrip_random_amplitudes(tmp_path_factory, raw, seed):

@@ -17,8 +17,8 @@ from tsallisq import (
     tee_two_qubit,
     w_state,
 )
+from tsallisq.measures import _pair_concurrence_sq
 from tsallisq.roof import (
-    _pair_concurrence_sq_batch,
     _phase_fixed_isometries,
     concurrence_cost,
     decomposition_from_isometry,
@@ -298,7 +298,7 @@ def test_tau_pair_concurrence_matches_wootters(rng):
         states.append(PureState((2, 2, 2), local @ ghz(3).amplitudes))
     batch = np.stack([psi.amplitudes for psi in states])
     for keep in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)):
-        got = np.sqrt(_pair_concurrence_sq_batch(batch, keep))
+        got = np.sqrt(_pair_concurrence_sq(batch, (2, 2, 2), [keep])[:, 0])
         ref = [concurrence_two_qubit(psi.reduced(list(keep))).c for psi in states]
         assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -310,7 +310,7 @@ def test_tau_pair_concurrence_product_is_zero(rng):
 
     batch = np.stack([np.kron(np.kron(qubit(), qubit()), qubit()) for _ in range(20)])
     for keep in ((0, 1), (0, 2), (1, 2)):
-        assert np.max(_pair_concurrence_sq_batch(batch, keep)) <= 1e-28
+        assert np.max(_pair_concurrence_sq(batch, (2, 2, 2), [keep])) <= 1e-28
 
 
 @pytest.mark.parametrize("q", [0.75, 1.0, 2.0, 3.0, 4.25])
