@@ -101,33 +101,19 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
-def _wootters_lambdas(rho: np.ndarray) -> np.ndarray:
-    """Descending Wootters l_i of a stack (..., 4, 4) of two-qubit states.
-
-    With rho = L L^dagger taken from the eigendecomposition, the l_i are the
-    singular values of tau = L^T (sigma_y x sigma_y) L.  Eigenvalues of rho
-    at or below the numerical-rank cutoff 4 eps max(spectrum) count as zero:
-    they are rounding noise, and their square roots would enter L as ~1e-8
-    columns.
-    """
-    vals, vecs = np.linalg.eigh(rho)
-    vals[vals <= 4.0 * np.finfo(float).eps * vals[..., -1:]] = 0.0
-    l_mat = vecs * np.sqrt(vals)[..., None, :]
-    return np.linalg.svd(_spin_flip_overlaps(l_mat), compute_uv=False)
-
-
 def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
     """Squared Wootters concurrence of each qubit pair, for a batch of pure
     vectors (..., dim); returns (..., len(pairs)).
 
     Each pair marginal is M M^dagger with M the 4 x k reshaping of a vector.
-    For k > 2 the 4x4 marginal goes through _wootters_lambdas.  For k = 2
-    (three qubits) the spin-flipped overlaps form the complex symmetric 2x2
-    matrix tau = M^T (sigma_y x sigma_y) M, whose singular values s1 >= s2
-    are the square roots of the nonzero eigenvalues of rho rho~.  Then
-    C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated as the sum of
-    squares |a - u d*|^2 + |b + u b*|^2 with tau = [[a, b], [b, d]] and
-    u = det/|det| (1 when det = 0), which cancels nothing when s1 ~ s2.
+    For k > 2 the stack of 4x4 marginals goes through concurrence_two_qubit.
+    For k = 2 (three qubits) the spin-flipped overlaps form the complex
+    symmetric 2x2 matrix tau = M^T (sigma_y x sigma_y) M, whose singular
+    values s1 >= s2 are the square roots of the nonzero eigenvalues of
+    rho rho~.  Then C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated
+    as the sum of squares |a - u d*|^2 + |b + u b*|^2 with
+    tau = [[a, b], [b, d]] and u = det/|det| (1 when det = 0), which cancels
+    nothing when s1 ~ s2.
     """
     m = np.stack([_bipartition(vecs, dims, sorted(p)) for p in pairs], axis=-3)
     if m.shape[-1] == 2:
@@ -140,8 +126,7 @@ def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
         return _sq_norms(np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1))
     gram = m @ np.swapaxes(m.conj(), -1, -2)
     gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
-    lam = _wootters_lambdas(gram)
-    c = np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0)
+    c = concurrence_two_qubit(gram).c
     return c * c
 
 
@@ -185,10 +170,10 @@ def as_q(q) -> QParam:
 @dataclass(frozen=True)
 class ConcurrenceValue:
     """Concurrence plus, when it came from the two-qubit formula, the four
-    descending singular values behind it."""
+    descending singular values behind it (arrays for a stack of states)."""
 
-    c: float
-    lambdas: tuple[float, ...] | None = None
+    c: float | np.ndarray
+    lambdas: tuple[float, ...] | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -219,15 +204,29 @@ def binary_entropy(p: float) -> float:
 def concurrence_two_qubit(rho) -> ConcurrenceValue:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
-    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix; the l_i
-    come from _wootters_lambdas.
+    Accepts a DensityMatrix with dims (2, 2), a bare 4x4 matrix, or a stack
+    (..., 4, 4) of two-qubit density matrices.  A stack is taken as given,
+    as the batched pair kernel builds it, and yields c and lambdas as arrays
+    (...) and (..., 4).  With rho = L L^dagger taken from the
+    eigendecomposition, the l_i are the singular values of
+    tau = L^T (sigma_y x sigma_y) L.  Eigenvalues of rho at or below the
+    numerical-rank cutoff 4 eps max(spectrum) count as zero: they are
+    rounding noise, and their square roots would enter L as ~1e-8 columns.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
-    if rho.dims != (2, 2):
-        raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
-    lam = _wootters_lambdas(rho.matrix)
-    c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    stack = isinstance(rho, np.ndarray) and rho.ndim > 2
+    if not stack:
+        if not isinstance(rho, DensityMatrix):
+            rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
+        if rho.dims != (2, 2):
+            raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
+        rho = rho.matrix
+    vals, vecs = np.linalg.eigh(rho)
+    vals[vals <= 4.0 * np.finfo(float).eps * vals[..., -1:]] = 0.0
+    lam = np.linalg.svd(_spin_flip_overlaps(vecs * np.sqrt(vals)[..., None, :]), compute_uv=False)
+    diff = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    if stack:
+        return ConcurrenceValue(c=np.maximum(diff, 0.0), lambdas=lam)
+    c = max(0.0, float(diff))
     return ConcurrenceValue(c=c, lambdas=tuple(float(v) for v in lam))
 
 

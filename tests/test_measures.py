@@ -29,8 +29,7 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
-from tsallisq.linalg import _bipartition
-from tsallisq.measures import _pair_concurrence_sq, _wootters_lambdas
+from tsallisq.measures import _pair_concurrence_sq
 from tsallisq.roof import concurrence_cost, tee_cost
 
 LN2 = math.log(2.0)
@@ -134,6 +133,17 @@ def test_concurrence_pure_qudit_ceiling():
 def test_concurrence_two_qubit_rejects_other_dims():
     with pytest.raises(DomainError):
         concurrence_two_qubit(DensityMatrix((4,), np.eye(4) / 4))
+
+
+def test_concurrence_two_qubit_on_a_stack(rng):
+    states = [random_pure_state((2,) * 4, rng) for _ in range(2)]
+    pairs = ((0, 1), (1, 3), (2, 3))
+    stack = np.array([[psi.reduced(pair).matrix for pair in pairs] for psi in states])
+    cv = concurrence_two_qubit(stack)
+    assert cv.c.shape == (2, 3) and cv.lambdas.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        one = concurrence_two_qubit(stack[idx])
+        assert cv.c[idx] == one.c and tuple(cv.lambdas[idx]) == one.lambdas
 
 
 # --- closed-form entanglement curve -------------------------------------------
@@ -297,20 +307,6 @@ def test_pair_kernel_matches_wootters_on_marginals(n, kind, seed):
     for row, psi in zip(got, states):
         ref = [concurrence_two_qubit(psi.reduced(pair)).c ** 2 for pair in pairs]
         assert np.max(np.abs(row - ref)) <= 1e-12
-
-
-def test_pair_kernel_closed_form_matches_general_branch(rng):
-    # three qubits take the 2x2 closed form; the 4x4 route must agree on the same Gram
-    states = [random_pure_state((2, 2, 2), rng) for _ in range(30)]
-    states += [_kernel_test_state(kind, 3, rng) for kind in ("product", "w", "ghz") for _ in range(5)]
-    batch = np.stack([psi.amplitudes for psi in states])
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    got = _pair_concurrence_sq(batch, (2, 2, 2), pairs)
-    for col, pair in enumerate(pairs):
-        m = _bipartition(batch, (2, 2, 2), pair)
-        lam = _wootters_lambdas(m @ np.swapaxes(m.conj(), -1, -2))
-        ref = np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0) ** 2
-        assert np.max(np.abs(got[:, col] - ref)) <= 1e-12
 
 
 def test_pair_kernel_ghz3_pairs_exactly_zero():
