@@ -3,18 +3,28 @@
 Every decomposition of a rank-r density matrix into m >= r pure states is
 reachable from the eigendecomposition through an m x r isometry V, so the
 roof of a pure-state cost is a minimum over the isometry manifold.  The
-optimizer below parametrizes V by an unconstrained complex matrix whose
+optimizer below parametrizes V by an unconstrained complex matrix A whose
 columns are orthonormalized by two-pass Gram-Schmidt (the QR factor with a
-positive real R diagonal, a smooth map), estimates gradients by central
-finite differences, and runs several independently seeded restarts in one
-vectorized batch.  Costs are plain callables mapping a (batch, dim) array of
-normalized state vectors to a (batch,) array, so new roof quantities only
-need a new cost.
+positive real R diagonal, a smooth map), and runs several independently
+seeded restarts of gradient descent in one vectorized batch.  Costs are plain
+callables mapping a (batch, dim) array of normalized state vectors to a
+(batch,) array, so new roof quantities only need a new cost.
 
-A caller that knows a proven lower bound of the cost may pass it as floor:
-the batch then stops as soon as some restart comes within tolerance of it,
-since no decomposition can do better.  The floor only decides when to stop;
-the reported value is still recomputed from the decomposition found.
+The gradient uses that structure.  Member i of the ensemble is row i of
+phi = V B, with B the weighted eigenvectors, and contributes the term
+|phi_i|^2 cost(phi_i / |phi_i|), which depends on phi_i alone.  Central
+differences over each member's 2 dim real coordinates therefore give dF/dphi
+from one cost call of 4 dim m rows per restart, instead of bumping all
+4 m r real parameters of A through the whole ensemble.  The chain rule then
+runs exactly: G = (dF/dphi) B^dagger is the gradient in V, and the
+derivative of the Gram-Schmidt map pulls it back to A (see
+_ensemble_gradient).  A rejected step keeps its point, so its gradient is
+reused.
+
+A caller that knows a proven lower bound of the roof of the input may pass it
+as floor: the batch then stops as soon as some restart comes within tolerance
+of it, since no decomposition can do better.  The floor only decides when to
+stop; the reported value is still recomputed from the decomposition found.
 
 Results are deterministic for a fixed seed: restart k draws the same initial
 point no matter how many restarts follow it.
@@ -22,6 +32,8 @@ point no matter how many restarts follow it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +46,8 @@ from .qstate import Decomposition, DensityMatrix, PureState
 _RANK_TOL = 1e-10
 _MAX_RANK = 8
 _FD_STEP = 1e-6
+# a cost call sees at most this many member rows per ensemble member
+_ROW_CAP = 4096
 _ACCEPT_SLACK = 1e-15
 _DROP_WEIGHT = 1e-12
 
@@ -48,12 +62,16 @@ class RoofConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("restarts", "max_iterations"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {count!r}")
         if self.restarts < 1:
             raise DomainError("need at least one restart")
         if self.max_iterations < 1:
             raise DomainError("need at least one iteration")
-        if not (self.tolerance > 0.0):
-            raise DomainError("tolerance must be positive")
+        if not (0.0 < self.tolerance < math.inf):
+            raise DomainError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -145,6 +163,68 @@ def _ensemble_from_members(dims, phi: np.ndarray) -> Decomposition:
     return Decomposition(tuple(members))
 
 
+def _theta_mats(thetas: np.ndarray, m: int, r: int) -> np.ndarray:
+    n = thetas.shape[0]
+    return thetas[:, : m * r].reshape(n, m, r) + 1j * thetas[:, m * r :].reshape(n, m, r)
+
+
+def _member_terms(phi: np.ndarray, cost, cap: int) -> np.ndarray:
+    """Ensemble terms w * cost(phi / sqrt(w)) of a (..., dim) member stack.
+
+    w = |phi|^2 is the member's weight; members below weight 1e-14 give 0.
+    The cost sees at most cap rows per call.
+    """
+    flat = phi.reshape(-1, phi.shape[-1])
+    w = _sq_norms(flat)
+    out = np.zeros(w.shape)
+    for s in range(0, len(flat), cap):
+        ws = w[s : s + cap]
+        safe = ws > 1e-14
+        if np.any(safe):
+            states = flat[s : s + cap][safe] / np.sqrt(ws[safe])[:, None]
+            out[s : s + cap][safe] = ws[safe] * cost(states)
+    return out.reshape(phi.shape[:-1])
+
+
+def _ensemble_gradient(mats, iso, b_mat, cost, cap: int) -> np.ndarray:
+    """Gradient of the ensemble value over a stack of m x r matrices A.
+
+    The value is sum_i w_i cost(phi_i / |phi_i|) with phi = Q B, where
+    Q = _phase_fixed_isometries(A) is given as iso and B is b_mat.  Each term
+    depends on its own member only, so central differences run over every
+    member's 2 dim real coordinates, every member's bumps together in cost
+    calls of at most cap rows.  G = (dF/dphi) B^dagger is then pulled back exactly through
+    A = QR (R upper triangular with a positive real diagonal): with W = Q^dagger G,
+    dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger.
+    Derivatives come as d/dRe + i d/dIm, shaped like mats.
+    """
+    phi = iso @ b_mat
+    dim = phi.shape[-1]
+    h = _FD_STEP
+    eye = np.eye(dim) * h
+    bump = np.concatenate([eye, -eye, 1j * eye, -1j * eye])  # (4 dim, dim)
+    rows = phi.reshape(-1, dim)
+    per_call = max(1, cap // len(bump))
+    dphi = np.empty(rows.shape, dtype=complex)
+    for s in range(0, len(rows), per_call):
+        block = rows[s : s + per_call]
+        t = _member_terms(block[:, None, :] + bump, cost, cap).reshape(len(block), 4, dim)
+        dphi[s : s + per_call] = (t[:, 0] - t[:, 1] + 1j * (t[:, 2] - t[:, 3])) / (2.0 * h)
+
+    def dag(x):
+        return x.conj().swapaxes(-1, -2)
+
+    g = dphi.reshape(phi.shape) @ dag(b_mat)
+    w = dag(iso) @ g
+    skew = np.tril(w - dag(w), -1)
+    k = np.arange(w.shape[-1])
+    skew[..., k, k] = 1j * w[..., k, k].imag
+    y = g - iso @ (w - skew)
+    r_fac = np.triu(dag(iso) @ mats)
+    # y R^-dagger, solved as R X = y^dagger with X the adjoint of the answer
+    return dag(np.linalg.solve(r_fac, dag(y)))
+
+
 def minimize_roof(
     rho: DensityMatrix,
     cost,
@@ -159,10 +239,12 @@ def minimize_roof(
     optimizer can only certify what it found), tight in practice for the
     ranks this package allows.
 
-    floor, when given, must be a proven lower bound of cost on every pure
-    state.  Once the best restart's ensemble average is within
-    config.tolerance of it, no decomposition can improve by more than that,
-    so the whole batch stops and the winner reports stop_reason "floor".
+    floor, when given, must be a proven lower bound of the roof of rho, that
+    is of the cost averaged over every decomposition of rho (a lower bound of
+    the cost on every pure state is one).  Once the best restart's ensemble
+    average is within config.tolerance of it, no decomposition can improve by
+    more than that, so the whole batch stops and the winner reports
+    stop_reason "floor".
     """
     cfg = config or RoofConfig()
     lam, basis = _eigenbasis(rho)
@@ -170,7 +252,6 @@ def minimize_roof(
     if r > _MAX_RANK:
         raise DomainError(f"state rank {r} exceeds the optimizer limit {_MAX_RANK}")
     dims = rho.dims
-    dim = rho.dim
 
     if r == 1:
         psi = PureState(dims, basis[:, 0])
@@ -187,28 +268,7 @@ def minimize_roof(
 
     b_mat = np.sqrt(lam)[:, None] * basis.T  # (r, dim); transpose, never dagger
     n_par = 2 * m * r
-
-    def evaluate(thetas: np.ndarray) -> np.ndarray:
-        n = thetas.shape[0]
-        if n > 4096:
-            return np.concatenate(
-                [evaluate(thetas[i : i + 4096]) for i in range(0, n, 4096)]
-            )
-        mats = (
-            thetas[:, : m * r].reshape(n, m, r)
-            + 1j * thetas[:, m * r :].reshape(n, m, r)
-        )
-        iso = _phase_fixed_isometries(mats)
-        phi = iso @ b_mat  # (n, m, dim)
-        w = _sq_norms(phi)
-        flat = phi.reshape(n * m, dim)
-        wf = w.reshape(n * m)
-        safe = wf > 1e-14
-        vals = np.zeros(n * m)
-        if np.any(safe):
-            states = flat[safe] / np.sqrt(wf[safe])[:, None]
-            vals[safe] = cost(states)
-        return (wf * vals).reshape(n, m).sum(axis=1)
+    cap = _ROW_CAP * m
 
     n_restart = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
@@ -223,7 +283,11 @@ def minimize_roof(
         theta[1:, : m * r] = draws[:, 0].reshape(n_restart - 1, m * r)
         theta[1:, m * r :] = draws[:, 1].reshape(n_restart - 1, m * r)
 
-    current = evaluate(theta)
+    iso = _phase_fixed_isometries(_theta_mats(theta, m, r))
+    current = _member_terms(iso @ b_mat, cost, cap).sum(axis=1)
+    grad = np.zeros((n_restart, n_par))
+    # a rejected step leaves theta, and so its gradient, as it was
+    fresh = np.zeros(n_restart, dtype=bool)
     alpha = np.full(n_restart, 0.25)
     streak = np.zeros(n_restart, dtype=int)
     iters = np.zeros(n_restart, dtype=int)
@@ -233,25 +297,27 @@ def minimize_roof(
     stop_at = -np.inf if floor is None else floor + cfg.tolerance
     at_floor = current.min() <= stop_at
 
-    h = _FD_STEP
-    eye_h = np.eye(n_par) * h
     for _ in range(cfg.max_iterations):
         if at_floor or not active.any():
             break
         idx = np.nonzero(active)[0]
-        base = theta[idx]
-        bumps = np.concatenate(
-            [base[:, None, :] + eye_h[None], base[:, None, :] - eye_h[None]], axis=1
-        )
-        f_all = evaluate(bumps.reshape(-1, n_par)).reshape(len(idx), 2, n_par)
-        grad = (f_all[:, 0] - f_all[:, 1]) / (2.0 * h)
+        todo = idx[~fresh[idx]]
+        if todo.size:
+            g = _ensemble_gradient(_theta_mats(theta[todo], m, r), iso[todo], b_mat, cost, cap)
+            grad[todo] = np.concatenate(
+                [g.real.reshape(todo.size, -1), g.imag.reshape(todo.size, -1)], axis=1
+            )
+            fresh[todo] = True
 
-        cand = base - alpha[idx, None] * grad
-        f_cand = evaluate(cand)
+        cand = theta[idx] - alpha[idx, None] * grad[idx]
+        iso_cand = _phase_fixed_isometries(_theta_mats(cand, m, r))
+        f_cand = _member_terms(iso_cand @ b_mat, cost, cap).sum(axis=1)
         gain = current[idx] - f_cand
         took = gain > _ACCEPT_SLACK
         acc = idx[took]
         theta[acc] = cand[took]
+        iso[acc] = iso_cand[took]
+        fresh[acc] = False
         current[acc] = f_cand[took]
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[acc] *= 1.3
@@ -275,13 +341,8 @@ def minimize_roof(
         stopped |= active
 
     best = int(np.argmin(current))
-    mats = (
-        theta[best, : m * r].reshape(1, m, r)
-        + 1j * theta[best, m * r :].reshape(1, m, r)
-    )
-    iso = _phase_fixed_isometries(mats)[0]
-    phi = iso @ b_mat
-    decomposition = _ensemble_from_members(dims, phi)
+    iso_best = _phase_fixed_isometries(_theta_mats(theta[best : best + 1], m, r))[0]
+    decomposition = _ensemble_from_members(dims, iso_best @ b_mat)
     states = np.stack([p.amplitudes for _, p in decomposition.members])
     weights = np.array([w for w, _ in decomposition.members])
     value = float((weights * cost(states)).sum())

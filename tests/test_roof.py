@@ -19,7 +19,13 @@ from tsallisq import (
 )
 from tsallisq.measures import _pair_concurrence_sq
 from tsallisq.roof import (
+    _FD_STEP,
+    _ROW_CAP,
+    _eigenbasis,
+    _ensemble_gradient,
+    _member_terms,
     _phase_fixed_isometries,
+    _theta_mats,
     concurrence_cost,
     decomposition_from_isometry,
     indicator_summand_cost,
@@ -44,6 +50,29 @@ def test_config_validation():
         RoofConfig(tolerance=0.0)
     cfg = RoofConfig()
     assert cfg.restarts == 32 and cfg.seed == 42
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(restarts=2.5),
+        dict(max_iterations=3.7),
+        dict(restarts=True),
+        dict(max_iterations=False),
+        dict(tolerance=float("inf")),
+        dict(tolerance=float("nan")),
+    ],
+)
+def test_config_rejects_non_integer_counts_and_infinite_tolerance(kwargs):
+    # each of these used to pass and then fail inside numpy, or (an infinite
+    # tolerance) stop every floored roof at sweep 0
+    with pytest.raises(DomainError):
+        RoofConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = RoofConfig(restarts=np.int64(3), max_iterations=np.int32(5))
+    assert cfg.restarts == 3 and cfg.max_iterations == 5
 
 
 def test_rank_one_fast_path(bell):
@@ -324,3 +353,93 @@ def test_indicator_summand_nonnegative_on_pure_states(q):
     for focus in (0, 1, 2):
         values = indicator_summand_cost((2, 2, 2), focus, q)(batch)
         assert np.min(values) >= -1e-12
+
+
+# --- gradient ----------------------------------------------------------------
+
+
+def _random_mixture(dims, rank, rng):
+    weights = rng.dirichlet(np.ones(rank))
+    mats = [random_pure_state(dims, rng).to_density().matrix for _ in range(rank)]
+    return DensityMatrix(dims, sum(w * mat for w, mat in zip(weights, mats)))
+
+
+def _theta_differences(rho, cost, thetas):
+    # reference route: central differences of the whole-ensemble value over
+    # every real parameter of the unconstrained matrix
+    lam, basis = _eigenbasis(rho)
+    r = lam.size
+    m = 2 * r
+    b_mat = np.sqrt(lam)[:, None] * basis.T
+
+    def value(th):
+        iso = _phase_fixed_isometries(_theta_mats(th, m, r))
+        return _member_terms(iso @ b_mat, cost, len(th) * m).sum(axis=1)
+
+    bump = np.eye(thetas.shape[1]) * _FD_STEP
+    return np.stack([(value(t + bump) - value(t - bump)) / (2 * _FD_STEP) for t in thetas])
+
+
+def _member_gradient(rho, cost, thetas):
+    lam, basis = _eigenbasis(rho)
+    r = lam.size
+    m = 2 * r
+    b_mat = np.sqrt(lam)[:, None] * basis.T
+    mats = _theta_mats(thetas, m, r)
+    g = _ensemble_gradient(mats, _phase_fixed_isometries(mats), b_mat, cost, _ROW_CAP * m)
+    n = len(thetas)
+    return np.concatenate([g.real.reshape(n, -1), g.imag.reshape(n, -1)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "name,dims,rank",
+    [
+        ("tee2", (2, 2), 2),
+        ("tee2", (2, 2), 3),
+        ("tee2", (2, 3), 3),
+        ("tee3.5", (2, 2), 2),
+        ("tee3.5", (2, 2), 3),
+        ("tee3.5", (2, 3), 3),
+        ("concurrence", (2, 2), 3),
+        ("concurrence", (2, 3), 2),
+        ("indicator", (2, 2, 2), 2),
+        ("indicator", (2, 2, 2), 3),
+    ],
+)
+def test_member_gradient_matches_theta_differences(name, dims, rank):
+    rng = np.random.default_rng(sum(map(ord, name)) + 10 * len(dims) + rank)
+    if name == "indicator":
+        rho = random_biseparable_mixture(rng, members=rank)
+        cost = indicator_summand_cost(dims, 0, 2.0)
+    elif name == "concurrence":
+        # random members of a random mixture sit away from product states,
+        # where the concurrence has a cone
+        rho = _random_mixture(dims, rank, rng)
+        cost = concurrence_cost(dims, 0)
+    else:
+        rho = _random_mixture(dims, rank, rng)
+        cost = tee_cost(dims, 0, float(name[3:]))
+    r = rho.rank()
+    thetas = rng.standard_normal((3, 4 * r * r))
+    ref = _theta_differences(rho, cost, thetas)
+    got = _member_gradient(rho, cost, thetas)
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_cost_rows_per_call_bounded():
+    # rank 8 on a 2 x 32 cut: one gradient sweep over 32 restarts bumps
+    # 32 * 16 members * 256 coordinates = 131072 rows, twice the cap
+    rng = np.random.default_rng(8)
+    rho = _random_mixture((2, 32), 8, rng)
+    rows = []
+    inner = concurrence_cost((2, 32), 0)
+
+    def cost(states):
+        rows.append(len(states))
+        return inner(states)
+
+    res = minimize_roof(rho, cost, RoofConfig(max_iterations=2))
+    m = 2 * 8
+    assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+    assert max(rows) <= _ROW_CAP * m
+    assert sum(rows) > 2 * _ROW_CAP * m
