@@ -195,7 +195,9 @@ def _ensemble_gradient(mats, iso, b_mat, cost, cap: int) -> np.ndarray:
     member's 2 dim real coordinates, every member's bumps together in cost
     calls of at most cap rows.  G = (dF/dphi) B^dagger is then pulled back exactly through
     A = QR (R upper triangular with a positive real diagonal): with W = Q^dagger G,
-    dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger.
+    dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger.  The
+    matrix Q multiplies is H = U + U^dagger with U = triu(W, 1) + diag(W) / 2:
+    the Hermitian matrix equal to W above the diagonal and to Re W on it.
     Derivatives come as d/dRe + i d/dIm, shaped like mats.
     """
     phi = iso @ b_mat
@@ -215,11 +217,10 @@ def _ensemble_gradient(mats, iso, b_mat, cost, cap: int) -> np.ndarray:
         return x.conj().swapaxes(-1, -2)
 
     g = dphi.reshape(phi.shape) @ dag(b_mat)
-    w = dag(iso) @ g
-    skew = np.tril(w - dag(w), -1)
-    k = np.arange(w.shape[-1])
-    skew[..., k, k] = 1j * w[..., k, k].imag
-    y = g - iso @ (w - skew)
+    r = iso.shape[-1]
+    upper = np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r)
+    u = (dag(iso) @ g) * upper
+    y = g - iso @ (u + dag(u))
     r_fac = np.triu(dag(iso) @ mats)
     # y R^-dagger, solved as R X = y^dagger with X the adjoint of the answer
     return dag(np.linalg.solve(r_fac, dag(y)))
