@@ -192,13 +192,17 @@ def _ensemble_gradient(mats, iso, b_mat, cost, cap: int) -> np.ndarray:
     The value is sum_i w_i cost(phi_i / |phi_i|) with phi = Q B, where
     Q = _phase_fixed_isometries(A) is given as iso and B is b_mat.  Each term
     depends on its own member only, so central differences run over every
-    member's 2 dim real coordinates, every member's bumps together in cost
-    calls of at most cap rows.  G = (dF/dphi) B^dagger is then pulled back exactly through
-    A = QR (R upper triangular with a positive real diagonal): with W = Q^dagger G,
-    dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger.  The
-    matrix Q multiplies is H = U + U^dagger with U = triu(W, 1) + diag(W) / 2:
-    the Hermitian matrix equal to W above the diagonal and to Re W on it.
-    Derivatives come as d/dRe + i d/dIm, shaped like mats.
+    member's 2 dim real coordinates, with the bumps of all members batched
+    into cost calls of at most cap rows.  G = (dF/dphi) B^dagger is then
+    pulled back exactly through A = QR, R upper triangular with a positive
+    real diagonal: with W = Q^dagger G,
+
+        dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger
+              = (G - Q H) R^-dagger,
+
+    where H = U + U^dagger, U = triu(W, 1) + diag(W) / 2, is the Hermitian
+    matrix equal to W above the diagonal and to Re W on it.  Derivatives come
+    as d/dRe + i d/dIm, shaped like mats.
     """
     phi = iso @ b_mat
     dim = phi.shape[-1]

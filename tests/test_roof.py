@@ -364,13 +364,16 @@ def _random_mixture(dims, rank, rng):
     return DensityMatrix(dims, sum(w * mat for w, mat in zip(weights, mats)))
 
 
+def _weighted_eigenvectors(rho):
+    lam, basis = _eigenbasis(rho)
+    return lam.size, np.sqrt(lam)[:, None] * basis.T
+
+
 def _theta_differences(rho, cost, thetas):
     # reference route: central differences of the whole-ensemble value over
     # every real parameter of the unconstrained matrix
-    lam, basis = _eigenbasis(rho)
-    r = lam.size
+    r, b_mat = _weighted_eigenvectors(rho)
     m = 2 * r
-    b_mat = np.sqrt(lam)[:, None] * basis.T
 
     def value(th):
         iso = _phase_fixed_isometries(_theta_mats(th, m, r))
@@ -381,10 +384,8 @@ def _theta_differences(rho, cost, thetas):
 
 
 def _member_gradient(rho, cost, thetas):
-    lam, basis = _eigenbasis(rho)
-    r = lam.size
+    r, b_mat = _weighted_eigenvectors(rho)
     m = 2 * r
-    b_mat = np.sqrt(lam)[:, None] * basis.T
     mats = _theta_mats(thetas, m, r)
     g = _ensemble_gradient(mats, _phase_fixed_isometries(mats), b_mat, cost, _ROW_CAP * m)
     n = len(thetas)
