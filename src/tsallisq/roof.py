@@ -62,10 +62,12 @@ class RoofConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("restarts", "max_iterations"):
+        for name in ("restarts", "max_iterations", "seed"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {count!r}")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.restarts < 1:
             raise DomainError("need at least one restart")
         if self.max_iterations < 1:

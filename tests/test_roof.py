@@ -61,9 +61,12 @@ def test_config_validation():
         dict(max_iterations=False),
         dict(tolerance=float("inf")),
         dict(tolerance=float("nan")),
+        dict(seed=2.5),
+        dict(seed=-1),
+        dict(seed=True),
     ],
 )
-def test_config_rejects_non_integer_counts_and_infinite_tolerance(kwargs):
+def test_config_rejects_values_that_would_fail_later(kwargs):
     # each of these used to pass and then fail inside numpy, or (an infinite
     # tolerance) stop every floored roof at sweep 0
     with pytest.raises(DomainError):
