@@ -117,17 +117,26 @@ def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
     """
     m = np.stack([_bipartition(vecs, dims, sorted(p)) for p in pairs], axis=-3)
     if m.shape[-1] == 2:
-        tau = _spin_flip_overlaps(m)
-        a, b, d = tau[..., 0, 0], tau[..., 0, 1], tau[..., 1, 1]
-        det = a * d - b * b
-        mag = np.abs(det)
-        u = np.ones_like(det)
-        np.divide(det, mag, out=u, where=mag > 0.0)
-        return _sq_norms(np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1))
+        return _sq_norms(_tau_residual(m)[2])
     gram = m @ np.swapaxes(m.conj(), -1, -2)
     gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
     c = concurrence_two_qubit(gram).c
     return c * c
+
+
+def _tau_residual(m: np.ndarray):
+    """tau = [[a, b], [b, d]] of a stack of 4 x 2 matrices M, the phase
+    u = det/|det| (0 where det = 0) and the row (a - u d*, b + u b*) (u = 1
+    there), whose squared norm is C^2.  grad_M C^2 = 4 (sigma_y x sigma_y) M*
+    (tau - u conj(adj tau)), so the |det| cone adds nothing at det = 0."""
+    tau = _spin_flip_overlaps(m)
+    a, b, d = tau[..., 0, 0], tau[..., 0, 1], tau[..., 1, 1]
+    det = a * d - b * b
+    mag = np.abs(det)
+    phase = np.zeros_like(det)
+    np.divide(det, mag, out=phase, where=mag > 0.0)
+    u = np.where(mag > 0.0, phase, 1.0)
+    return tau, phase, np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -235,14 +244,14 @@ def concurrence_pure(psi: PureState, party: int = 0) -> float:
 
     Clamped to the ceiling sqrt(2(d-1)/d) set by the smaller side dimension d.
     """
-    from .roof import concurrence_cost  # roof imports this module
+    from .roof import _concurrence_values  # roof imports this module
 
     party = int(party)
     if party < 0 or party >= psi.num_sites:
         raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
     if min(psi.dims[party], psi.dim // psi.dims[party]) < 2:
         raise DomainError("concurrence needs both sides of the cut to be nontrivial")
-    return float(concurrence_cost(psi.dims, party)(psi.amplitudes[None])[0])
+    return float(_concurrence_values(psi.amplitudes[None], psi.dims, party)[0][0])
 
 
 def tee_from_concurrence_sq(csq, q):
@@ -269,7 +278,7 @@ def ef_two_qubit(rho: DensityMatrix) -> float:
 
 def tee_pure(psi: PureState, party: int, q) -> float:
     """Tsallis-q entanglement of a pure state across the party/rest cut."""
-    from .roof import tee_cost  # roof imports this module
+    from .roof import _tee_values  # roof imports this module
 
     qp = as_q(q)
     party = int(party)
@@ -277,7 +286,7 @@ def tee_pure(psi: PureState, party: int, q) -> float:
         raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
     if psi.num_sites < 2:
         raise DomainError("a pure-state cut needs at least two subsystems")
-    return float(tee_cost(psi.dims, party, qp.q)(psi.amplitudes[None])[0])
+    return float(_tee_values(psi.amplitudes[None], psi.dims, party, qp.q)[0][0])
 
 
 def tee_two_qubit(rho: DensityMatrix, q, *, force_q: bool = False) -> float:

@@ -6,20 +6,20 @@ roof of a pure-state cost is a minimum over the isometry manifold.  The
 optimizer below parametrizes V by an unconstrained complex matrix A whose
 columns are orthonormalized by two-pass Gram-Schmidt (the QR factor with a
 positive real R diagonal, a smooth map), and runs several independently
-seeded restarts of gradient descent in one vectorized batch.  Costs are plain
-callables mapping a (batch, dim) array of normalized state vectors to a
-(batch,) array, so new roof quantities only need a new cost.
+seeded restarts of gradient descent in one vectorized batch.  A cost maps a
+(batch, dim) array of normalized state vectors to (values, grads): the
+(batch,) values and the (batch, dim) gradients of the cost formula, as
+d/dRe + i d/dIm.  New roof quantities only need a new cost.
 
-The gradient uses that structure.  Member i of the ensemble is row i of
-phi = V B, with B the weighted eigenvectors, and contributes the term
-|phi_i|^2 cost(phi_i / |phi_i|), which depends on phi_i alone.  Central
-differences over each member's 2 dim real coordinates therefore give dF/dphi
-from one cost call of 4 dim m rows per restart, instead of bumping all
-4 m r real parameters of A through the whole ensemble.  The chain rule then
-runs exactly: G = (dF/dphi) B^dagger is the gradient in V, and the
-derivative of the Gram-Schmidt map pulls it back to A (see
-_ensemble_gradient).  A rejected step keeps its point, so its gradient is
-reused.
+Member i of the ensemble is row i of phi = V B, with B the weighted
+eigenvectors, and contributes t = w f(phi_i / sqrt(w)), w = |phi_i|^2, which
+depends on phi_i alone.  With psi = phi_i / sqrt(w), the chain rule through
+the normalization, grad t = 2 f phi_i + sqrt(w) (grad f - Re<psi, grad f> psi),
+gives dF/dphi for every cost; G = (dF/dphi) B^dagger is the gradient in V,
+and the derivative of the Gram-Schmidt map pulls it back to A exactly (see
+_ensemble_gradient).  So one cost call per sweep, over the candidates of
+every running restart, yields their values and the gradients at the points
+it accepts; a rejected step keeps its point and its gradient.
 
 A caller that knows a proven lower bound of the roof of the input may pass it
 as floor: the batch then stops as soon as some restart comes within tolerance
@@ -40,16 +40,14 @@ import numpy as np
 
 from .errors import DomainError, PartitionError
 from .linalg import _bipartition, _sq_norms
-from .measures import _pair_concurrence_sq, _tsallis_sum, tee_from_concurrence_sq
+from .measures import _FLIP_SIGN, _qlog, _tau_residual, _tsallis_sum, tee_from_concurrence_sq
 from .qstate import Decomposition, DensityMatrix, PureState
 
 _RANK_TOL = 1e-10
 _MAX_RANK = 8
-_FD_STEP = 1e-6
-# a cost call sees at most this many member rows per ensemble member
-_ROW_CAP = 4096
 _ACCEPT_SLACK = 1e-15
 _DROP_WEIGHT = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -170,66 +168,55 @@ def _theta_mats(thetas: np.ndarray, m: int, r: int) -> np.ndarray:
     return thetas[:, : m * r].reshape(n, m, r) + 1j * thetas[:, m * r :].reshape(n, m, r)
 
 
-def _member_terms(phi: np.ndarray, cost, cap: int) -> np.ndarray:
-    """Ensemble terms w * cost(phi / sqrt(w)) of a (..., dim) member stack.
+def _member_terms(phi: np.ndarray, cost):
+    """Ensemble terms t = w cost(phi / sqrt(w)) of a (..., dim) member stack
+    and their gradients in phi (module docstring), from one cost call.
 
     w = |phi|^2 is the member's weight; members below weight 1e-14 give 0.
-    The cost sees at most cap rows per call.
     """
     flat = phi.reshape(-1, phi.shape[-1])
     w = _sq_norms(flat)
-    out = np.zeros(w.shape)
-    for s in range(0, len(flat), cap):
-        ws = w[s : s + cap]
-        safe = ws > 1e-14
-        if np.any(safe):
-            states = flat[s : s + cap][safe] / np.sqrt(ws[safe])[:, None]
-            out[s : s + cap][safe] = ws[safe] * cost(states)
-    return out.reshape(phi.shape[:-1])
+    safe = w > 1e-14
+    root = np.sqrt(w[safe])[:, None]
+    states = flat[safe] / root
+    f, f_grad = cost(states)
+    radial = np.einsum("ni,ni->n", states.conj(), f_grad).real[:, None]
+    terms = np.zeros(w.shape)
+    terms[safe] = w[safe] * f
+    grads = np.zeros(flat.shape, dtype=complex)
+    grads[safe] = 2.0 * f[:, None] * flat[safe] + root * (f_grad - radial * states)
+    return terms.reshape(phi.shape[:-1]), grads.reshape(phi.shape)
 
 
-def _ensemble_gradient(mats, iso, b_mat, cost, cap: int) -> np.ndarray:
+def _ensemble_gradient(mats, iso, b_mat, dphi) -> np.ndarray:
     """Gradient of the ensemble value over a stack of m x r matrices A.
 
-    The value is sum_i w_i cost(phi_i / |phi_i|) with phi = Q B, where
-    Q = _phase_fixed_isometries(A) is given as iso and B is b_mat.  Each term
-    depends on its own member only, so central differences run over every
-    member's 2 dim real coordinates, with the bumps of all members batched
-    into cost calls of at most cap rows.  G = (dF/dphi) B^dagger is then
-    pulled back exactly through A = QR, R upper triangular with a positive
-    real diagonal: with W = Q^dagger G,
+    The value is sum_i t_i(phi_i) with phi = Q B, where
+    Q = _phase_fixed_isometries(A) is given as iso, B is b_mat and dphi holds
+    the member gradients dt_i/dphi_i.  G = dphi B^dagger is pulled back
+    exactly through A = QR, R upper triangular with a positive real diagonal:
+    with W = Q^dagger G,
 
         dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger
               = (G - Q H) R^-dagger,
 
     where H = U + U^dagger, U = triu(W, 1) + diag(W) / 2, is the Hermitian
     matrix equal to W above the diagonal and to Re W on it.  Derivatives come
-    as d/dRe + i d/dIm, shaped like mats.
+    as d/dRe + i d/dIm, flattened to the real parameters (Re A, Im A).
     """
-    phi = iso @ b_mat
-    dim = phi.shape[-1]
-    h = _FD_STEP
-    eye = np.eye(dim) * h
-    bump = np.concatenate([eye, -eye, 1j * eye, -1j * eye])  # (4 dim, dim)
-    rows = phi.reshape(-1, dim)
-    per_call = max(1, cap // len(bump))
-    dphi = np.empty(rows.shape, dtype=complex)
-    for s in range(0, len(rows), per_call):
-        block = rows[s : s + per_call]
-        t = _member_terms(block[:, None, :] + bump, cost, cap).reshape(len(block), 4, dim)
-        dphi[s : s + per_call] = (t[:, 0] - t[:, 1] + 1j * (t[:, 2] - t[:, 3])) / (2.0 * h)
 
     def dag(x):
         return x.conj().swapaxes(-1, -2)
 
-    g = dphi.reshape(phi.shape) @ dag(b_mat)
+    g = dphi @ dag(b_mat)
     r = iso.shape[-1]
     upper = np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r)
     u = (dag(iso) @ g) * upper
     y = g - iso @ (u + dag(u))
     r_fac = np.triu(dag(iso) @ mats)
     # y R^-dagger, solved as R X = y^dagger with X the adjoint of the answer
-    return dag(np.linalg.solve(r_fac, dag(y)))
+    grad = dag(np.linalg.solve(r_fac, dag(y))).reshape(len(mats), -1)
+    return np.concatenate([grad.real, grad.imag], axis=1)
 
 
 def minimize_roof(
@@ -241,10 +228,12 @@ def minimize_roof(
 ) -> RoofResult:
     """Minimize the ensemble average of a pure-state cost over decompositions.
 
-    cost maps a (batch, dim) array of normalized vectors to a (batch,) float
-    array.  The returned value is an upper bound on the true roof (the
-    optimizer can only certify what it found), tight in practice for the
-    ranks this package allows.
+    cost maps a (batch, dim) array of normalized vectors psi to (f, grad f),
+    the (batch,) values and the cost formula's gradients as d/dRe + i d/dIm;
+    a member term t = w f(phi / sqrt(w)) has grad t = 2 f phi + sqrt(w)
+    (grad f - Re<psi, grad f> psi), and each sweep makes one cost call.  The
+    returned value is an upper bound on the true roof (the optimizer can only
+    certify what it found), tight in practice for the ranks this package allows.
 
     floor, when given, must be a proven lower bound of the roof of rho, that
     is of the cost averaged over every decomposition of rho (a lower bound of
@@ -262,7 +251,7 @@ def minimize_roof(
 
     if r == 1:
         psi = PureState(dims, basis[:, 0])
-        value = float(cost(basis[:, 0][None, :])[0])
+        value = float(cost(basis[:, 0][None, :])[0][0])
         return RoofResult(
             value=value,
             decomposition=Decomposition(((1.0, psi),)),
@@ -275,7 +264,6 @@ def minimize_roof(
 
     b_mat = np.sqrt(lam)[:, None] * basis.T  # (r, dim); transpose, never dagger
     n_par = 2 * m * r
-    cap = _ROW_CAP * m
 
     n_restart = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
@@ -290,11 +278,11 @@ def minimize_roof(
         theta[1:, : m * r] = draws[:, 0].reshape(n_restart - 1, m * r)
         theta[1:, m * r :] = draws[:, 1].reshape(n_restart - 1, m * r)
 
-    iso = _phase_fixed_isometries(_theta_mats(theta, m, r))
-    current = _member_terms(iso @ b_mat, cost, cap).sum(axis=1)
-    grad = np.zeros((n_restart, n_par))
-    # a rejected step leaves theta, and so its gradient, as it was
-    fresh = np.zeros(n_restart, dtype=bool)
+    mats = _theta_mats(theta, m, r)
+    iso = _phase_fixed_isometries(mats)
+    terms, dphi = _member_terms(iso @ b_mat, cost)
+    current = terms.sum(axis=1)
+    grad = _ensemble_gradient(mats, iso, b_mat, dphi)
     alpha = np.full(n_restart, 0.25)
     streak = np.zeros(n_restart, dtype=int)
     iters = np.zeros(n_restart, dtype=int)
@@ -308,24 +296,18 @@ def minimize_roof(
         if at_floor or not active.any():
             break
         idx = np.nonzero(active)[0]
-        todo = idx[~fresh[idx]]
-        if todo.size:
-            g = _ensemble_gradient(_theta_mats(theta[todo], m, r), iso[todo], b_mat, cost, cap)
-            grad[todo] = np.concatenate(
-                [g.real.reshape(todo.size, -1), g.imag.reshape(todo.size, -1)], axis=1
-            )
-            fresh[todo] = True
-
         cand = theta[idx] - alpha[idx, None] * grad[idx]
-        iso_cand = _phase_fixed_isometries(_theta_mats(cand, m, r))
-        f_cand = _member_terms(iso_cand @ b_mat, cost, cap).sum(axis=1)
+        mats = _theta_mats(cand, m, r)
+        iso_cand = _phase_fixed_isometries(mats)
+        terms, dphi = _member_terms(iso_cand @ b_mat, cost)
+        f_cand = terms.sum(axis=1)
         gain = current[idx] - f_cand
         took = gain > _ACCEPT_SLACK
         acc = idx[took]
         theta[acc] = cand[took]
-        iso[acc] = iso_cand[took]
-        fresh[acc] = False
         current[acc] = f_cand[took]
+        if acc.size:  # a rejected step keeps its point, and so its gradient
+            grad[acc] = _ensemble_gradient(mats[took], iso_cand[took], b_mat, dphi[took])
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[acc] *= 1.3
         rej = idx[~took]
@@ -352,7 +334,7 @@ def minimize_roof(
     decomposition = _ensemble_from_members(dims, iso_best @ b_mat)
     states = np.stack([p.amplitudes for _, p in decomposition.members])
     weights = np.array([w for w, _ in decomposition.members])
-    value = float((weights * cost(states)).sum())
+    value = float((weights * cost(states)[0]).sum())
     return RoofResult(
         value=value,
         decomposition=decomposition,
@@ -377,45 +359,77 @@ def _eig2_descending(gram: np.ndarray) -> np.ndarray:
     return np.stack([hi, lo], axis=1)
 
 
-def tee_cost(dims, party: int, q: float):
-    """Pure-state Tsallis-q entanglement across party|rest, batched."""
-    dims = tuple(int(d) for d in dims)
-    party = int(party)
+def _check_party(dims, party):
+    dims, party = tuple(int(d) for d in dims), int(party)
     if party < 0 or party >= len(dims):
         raise DomainError(f"party {party} out of range for dims {dims}")
-    q = float(q)
-    two = dims[party] == 2
+    return dims, party
 
-    def cost(states: np.ndarray) -> np.ndarray:
-        mat = _bipartition(states, dims, (party,))
-        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-        if two:
-            spec = _eig2_descending(gram)
+
+def _to_states(grad_mats: np.ndarray, dims, keep) -> np.ndarray:
+    """Undo _bipartition on a stack of gradients in the (d_keep, d_rest) matrices."""
+    order = _bipartition(np.arange(math.prod(dims)), dims, keep).ravel()
+    out = np.empty((len(grad_mats), order.size), dtype=complex)
+    out[:, order] = grad_mats.reshape(len(grad_mats), -1)
+    return out
+
+
+def _tee_values(states, dims, party, q):
+    """Value-only kernel of tee_cost, with the party|rest matrices M, the
+    marginals sigma = M M^dagger and their spectra (descending for a qubit)."""
+    mat = _bipartition(states, dims, (party,))
+    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    spec = _eig2_descending(gram) if dims[party] == 2 else np.linalg.eigvalsh(gram)
+    return _tsallis_sum(spec, q), mat, gram, spec
+
+
+def _concurrence_values(states, dims, party):
+    """Value-only kernel of concurrence_cost, with M and sigma as above."""
+    mat = _bipartition(states, dims, (party,))
+    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    side = min(mat.shape[1:])
+    purity = np.einsum("nij,nij->n", gram, gram.conj()).real
+    return np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, 2.0 * (side - 1) / side)), mat, gram
+
+
+def tee_cost(dims, party: int, q: float):
+    """Pure-state Tsallis-q entanglement across party|rest, batched.
+
+    The gradient is -2q ln_q(sigma) M; eigenvalues at or below 4 eps max add
+    nothing (u^dagger M = 0 there).  A qubit party takes ln_q(sigma) M as
+    L1 M + D (sigma - l1) M, D = (L1 - L2)/(l1 - l2), and sigma = l1 if l1 = l2.
+    """
+    dims, party = _check_party(dims, party)
+    q = float(q)
+
+    def cost(states: np.ndarray):
+        values, mat, gram, spec = _tee_values(states, dims, party, q)
+        if dims[party] > 2:
+            spec, vecs = np.linalg.eigh(gram)
+        cut = 4.0 * np.finfo(float).eps * spec.max(axis=1, keepdims=True)
+        logs = _qlog(np.where(spec > cut, spec, 1.0), q)
+        if dims[party] > 2:
+            log_m = vecs @ (logs[:, :, None] * (vecs.conj().swapaxes(1, 2) @ mat))
         else:
-            spec = np.linalg.eigvalsh(gram)
-        return _tsallis_sum(spec, q)
+            top, gap = spec[:, :1, None], (spec[:, 0] - spec[:, 1])[:, None, None]
+            slope = (logs[:, 0] - logs[:, 1])[:, None, None] / np.maximum(gap, _TINY)
+            log_m = logs[:, :1, None] * mat + slope * (gram @ mat - top * mat)
+        return values, _to_states(-2.0 * q * log_m, dims, (party,))
 
     return cost
 
 
 def concurrence_cost(dims, party: int):
-    """Pure-state generalized concurrence sqrt(2(1 - purity)), batched."""
-    dims = tuple(int(d) for d in dims)
-    party = int(party)
-    if party < 0 or party >= len(dims):
-        raise DomainError(f"party {party} out of range for dims {dims}")
-    rest = 1
-    for i, d in enumerate(dims):
-        if i != party:
-            rest *= d
-    ceiling = 2.0 * (min(dims[party], rest) - 1) / min(dims[party], rest)
+    """Pure-state generalized concurrence sqrt(2(1 - purity)), batched.
 
-    def cost(states: np.ndarray) -> np.ndarray:
-        mat = _bipartition(states, dims, (party,))
-        gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-        purity = np.einsum("nij,nij->n", gram, gram.conj()).real
-        csq = np.clip(2.0 * (1.0 - purity), 0.0, ceiling)
-        return np.sqrt(csq)
+    The gradient is -4 sigma M / c, and 0 at the cone's tip c = 0.
+    """
+    dims, party = _check_party(dims, party)
+
+    def cost(states: np.ndarray):
+        c, mat, gram = _concurrence_values(states, dims, party)
+        grad = -4.0 * (gram @ mat) / np.where(c > 0.0, c, np.inf)[:, None, None]
+        return c, _to_states(grad, dims, (party,))
 
     return cost
 
@@ -423,9 +437,12 @@ def concurrence_cost(dims, party: int):
 def indicator_summand_cost(dims, focus: int, q: float):
     """Monogamy-deficit summand for three-qubit pure members, batched.
 
-    Returns T_q(focus marginal)^2 minus the squared pair measures of the two
-    focus pairs, each through the concurrence closed form (so q must sit in
-    the window where that form is exact).
+    Returns T_q(focus marginal)^2 minus the squared pair measures g(x_j) of
+    the two focus pairs, each through the concurrence closed form (so q must
+    sit in the window where that form is exact).  The gradient is
+    2 T grad T - sum_j 2 g(x_j) g'(x_j) grad x_j with x_j = C_j^2 and
+    g'(x) = q (ln_q p+ - ln_q p-)/(4s), s = sqrt(1 - x), p+- = (1 +- s)/2.  A
+    pair adds nothing at x_j = 0, where g = 0, or x_j = 1, where grad x_j = 0.
     """
     dims = tuple(int(d) for d in dims)
     if dims != (2, 2, 2):
@@ -434,12 +451,25 @@ def indicator_summand_cost(dims, focus: int, q: float):
     if focus not in (0, 1, 2):
         raise DomainError(f"focus {focus} out of range for three qubits")
     q = float(q)
-    pairs = [(focus, j) for j in range(3) if j != focus]
+    pairs = [sorted((focus, j)) for j in range(3) if j != focus]
     focus_tee = tee_cost(dims, focus, q)
 
-    def cost(states: np.ndarray) -> np.ndarray:
-        pair_tee = tee_from_concurrence_sq(_pair_concurrence_sq(states, dims, pairs), q)
-        return focus_tee(states) ** 2 - pair_tee[:, 0] ** 2 - pair_tee[:, 1] ** 2
+    def cost(states: np.ndarray):
+        t, t_grad = focus_tee(states)
+        m = np.stack([_bipartition(states, dims, p) for p in pairs], axis=-3)
+        tau, phase, row = _tau_residual(m)
+        x = _sq_norms(row)
+        pair_tee = tee_from_concurrence_sq(x, q)
+        s = np.sqrt(1.0 - np.clip(x, 0.0, 1.0))
+        logs = _qlog(np.stack([(1.0 + s) / 2.0, np.where(x > 0.0, x, 1.0) / (2.0 * (1.0 + s))]), q)
+        coef = -2.0 * q * pair_tee * (logs[0] - logs[1]) / np.maximum(s, _TINY)
+        adj = tau[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        e = tau - phase[..., None, None] * adj.conj()
+        x_grad = (_FLIP_SIGN[:, None] * m[..., ::-1, :].conj()) @ e
+        grads = 2.0 * t[:, None] * t_grad
+        for j, p in enumerate(pairs):
+            grads += _to_states(coef[:, j, None, None] * x_grad[:, j], dims, p)
+        return t**2 - pair_tee[:, 0] ** 2 - pair_tee[:, 1] ** 2, grads
 
     return cost
 

@@ -217,7 +217,7 @@ def _q_one_subjects():
         "tee_from_concurrence_sq": lambda q: tee_from_concurrence_sq(xs, q),
         "tsallis_entropy": lambda q: np.array([tsallis_entropy(r, q) for r in rhos]),
         "tee_pure": lambda q: np.array([tee_pure(psi, p, q) for p in range(3)]),
-        "tee_cost": lambda q: tee_cost((2, 2, 2), 1, q)(batch),
+        "tee_cost": lambda q: tee_cost((2, 2, 2), 1, q)(batch)[0],
         "tee_curvature": lambda q: tee_curvature(xs, q),
         "tee_sq_curvature": lambda q: tee_sq_curvature(xs, q),
         "tee_curvature_wrt_c": lambda q: tee_curvature_wrt_c(q, np.sqrt(xs)),
@@ -255,9 +255,9 @@ def test_scalar_and_batched_routes_agree(seed, q):
     states += [PureState((2, 2, 2), local @ w_state(3).amplitudes), PureState((2, 2, 2), product)]
     batch = np.stack([psi.amplitudes for psi in states])
     for party in range(3):
-        got = tee_cost((2, 2, 2), party, q)(batch)
+        got = tee_cost((2, 2, 2), party, q)(batch)[0]
         assert np.max(np.abs(got - [tee_pure(psi, party, q) for psi in states])) <= 1e-12
-        got = concurrence_cost((2, 2, 2), party)(batch)
+        got = concurrence_cost((2, 2, 2), party)(batch)[0]
         assert np.max(np.abs(got - [concurrence_pure(psi, party) for psi in states])) <= 1e-12
     for keep in ((0, 1), (0, 2), (1, 2)):
         got = np.sqrt(_pair_concurrence_sq(batch, (2, 2, 2), [keep])[:, 0])
@@ -265,8 +265,23 @@ def test_scalar_and_batched_routes_agree(seed, q):
         assert np.max(np.abs(got - ref)) <= 1e-12
     qudit = random_pure_state((2, 3, 2), rng)
     for party in range(3):
-        got = tee_cost(qudit.dims, party, q)(qudit.amplitudes[None])[0]
+        got = tee_cost(qudit.dims, party, q)(qudit.amplitudes[None])[0][0]
         assert abs(got - tee_pure(qudit, party, q)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)])
+def test_pure_values_are_the_cost_values_bit_for_bit(dims):
+    # tee_pure and concurrence_pure run the costs' value-only kernels, never
+    # a gradient, so both routes give the same floats
+    rng = np.random.default_rng(sum(dims))
+    states = [random_pure_state(dims, rng) for _ in range(5)]
+    batch = np.stack([psi.amplitudes for psi in states])
+    for party in range(len(dims)):
+        for q in (0.75, 1.0, 1.0 + 1e-9, 2.0, 3.5):
+            got = tee_cost(dims, party, q)(batch)[0]
+            assert got.tolist() == [tee_pure(psi, party, q) for psi in states]
+        got = concurrence_cost(dims, party)(batch)[0]
+        assert got.tolist() == [concurrence_pure(psi, party) for psi in states]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -17,10 +17,9 @@ from tsallisq import (
     tee_two_qubit,
     w_state,
 )
-from tsallisq.measures import _pair_concurrence_sq
+from tsallisq.linalg import _bipartition
+from tsallisq.measures import _pair_concurrence_sq, _tau_residual
 from tsallisq.roof import (
-    _FD_STEP,
-    _ROW_CAP,
     _eigenbasis,
     _ensemble_gradient,
     _member_terms,
@@ -354,7 +353,7 @@ def test_indicator_summand_nonnegative_on_pure_states(q):
         + [ghz(3).amplitudes, w_state(3).amplitudes]
     )
     for focus in (0, 1, 2):
-        values = indicator_summand_cost((2, 2, 2), focus, q)(batch)
+        values = indicator_summand_cost((2, 2, 2), focus, q)(batch)[0]
         assert np.min(values) >= -1e-12
 
 
@@ -372,6 +371,9 @@ def _weighted_eigenvectors(rho):
     return lam.size, np.sqrt(lam)[:, None] * basis.T
 
 
+_STEP = 1e-6
+
+
 def _theta_differences(rho, cost, thetas):
     # reference route: central differences of the whole-ensemble value over
     # every real parameter of the unconstrained matrix
@@ -380,19 +382,18 @@ def _theta_differences(rho, cost, thetas):
 
     def value(th):
         iso = _phase_fixed_isometries(_theta_mats(th, m, r))
-        return _member_terms(iso @ b_mat, cost, len(th) * m).sum(axis=1)
+        return _member_terms(iso @ b_mat, cost)[0].sum(axis=1)
 
-    bump = np.eye(thetas.shape[1]) * _FD_STEP
-    return np.stack([(value(t + bump) - value(t - bump)) / (2 * _FD_STEP) for t in thetas])
+    bump = np.eye(thetas.shape[1]) * _STEP
+    return np.stack([(value(t + bump) - value(t - bump)) / (2 * _STEP) for t in thetas])
 
 
 def _member_gradient(rho, cost, thetas):
+    # the optimizer's route: analytic member gradients pulled back to A
     r, b_mat = _weighted_eigenvectors(rho)
-    m = 2 * r
-    mats = _theta_mats(thetas, m, r)
-    g = _ensemble_gradient(mats, _phase_fixed_isometries(mats), b_mat, cost, _ROW_CAP * m)
-    n = len(thetas)
-    return np.concatenate([g.real.reshape(n, -1), g.imag.reshape(n, -1)], axis=1)
+    mats = _theta_mats(thetas, 2 * r, r)
+    iso = _phase_fixed_isometries(mats)
+    return _ensemble_gradient(mats, iso, b_mat, _member_terms(iso @ b_mat, cost)[1])
 
 
 @pytest.mark.parametrize(
@@ -430,9 +431,126 @@ def test_member_gradient_matches_theta_differences(name, dims, rank):
     assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
+def _term_differences(cost, phi):
+    # reference: central differences of each member term over each real and
+    # imaginary coordinate, as d/dRe + i d/dIm
+    out = np.zeros(phi.shape, dtype=complex)
+    for k in range(phi.shape[-1]):
+        for unit in (1.0, 1j):
+            bump = np.zeros(phi.shape[-1], dtype=complex)
+            bump[k] = unit * _STEP
+            diff = _member_terms(phi + bump, cost)[0] - _member_terms(phi - bump, cost)[0]
+            out[:, k] += unit * diff / (2 * _STEP)
+    return out
+
+
+_GRAD_QS = [0.75, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 3.5, 4.25]
+
+
+@pytest.mark.parametrize(
+    "name,dims,q",
+    [("tee", (2, 3), q) for q in _GRAD_QS]
+    + [("tee", (3, 3), q) for q in _GRAD_QS]
+    + [("indicator", (2, 2, 2), q) for q in _GRAD_QS]
+    + [("concurrence", (2, 3), None), ("concurrence", (3, 3), None)],
+)
+def test_cost_gradients_match_central_differences(name, dims, q):
+    # party dimension 2 takes the 2x2 closed form, 3 the eigenvectors; the
+    # q-logarithm keeps q = 1 and its neighbours exact.  Row 0 is maximally
+    # entangled across the cut, a degenerate marginal; on three qubits it is
+    # |000> + |101>, whose focus pairs have C = 0 and C = 1
+    rng = np.random.default_rng(len(name) + 10 * len(dims) + dims[0])
+    if name == "tee":
+        cost = tee_cost(dims, 0, q)
+    elif name == "indicator":
+        cost = indicator_summand_cost(dims, 0, q)
+    else:
+        cost = concurrence_cost(dims, 0)
+    dim = int(np.prod(dims))
+    phi = 0.4 * (rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim)))
+    side = min(dims[0], dim // dims[0])
+    phi[0] = 0.0
+    phi[0, np.arange(side) * (dim // dims[0] + 1)] = 0.5
+    ref = _term_differences(cost, phi)
+    got = _member_terms(phi, cost)[1]
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def _directional(cost, phi, v, eps):
+    # one-sided difference quotient of the member term along v
+    return (_member_terms(phi + eps * v, cost)[0] - _member_terms(phi, cost)[0])[0] / eps
+
+
+def test_concurrence_gradient_at_product_member_is_cone_centre():
+    # C is a cone at product members: the one-sided derivatives along v and -v
+    # are equal and positive, so no gradient exists, and the member gradient
+    # is the cone's centre, 0, which every central difference matches
+    rng = np.random.default_rng(21)
+    cost = concurrence_cost((2, 3), 0)
+    a, b = random_pure_state((2,), rng).amplitudes, random_pure_state((3,), rng).amplitudes
+    phi = 0.7 * np.kron(a, b)[None]
+    grad = _member_terms(phi, cost)[1]
+    assert np.all(np.isfinite(grad)) and np.max(np.abs(grad)) <= 1e-6
+    v = (rng.standard_normal(6) + 1j * rng.standard_normal(6))[None]
+    up, down = _directional(cost, phi, v, 1e-4), _directional(cost, phi, -v, 1e-4)
+    assert up > 0.1 and abs(up - down) <= 1e-3 * up
+    # along a path of product members the one-sided difference is 0, up to
+    # the ~1e-8 rounding of C = sqrt(2 (1 - purity)) there
+    da, db = rng.standard_normal(2), rng.standard_normal(3)
+    path = 0.7 * np.kron(a + 0.1 * da, b + 0.1 * db)[None]
+    assert abs(_member_terms(path, cost)[0][0] - _member_terms(phi, cost)[0][0]) / 0.1 <= 1e-6
+
+
+def test_indicator_gradient_where_tau_has_rank_one():
+    # on span{|001>, |010>, |100>} both focus-0 pairs have tau = diag(., 0):
+    # rank 1, det tau = 0.  Inside the span |det tau| stays 0, so the term is
+    # smooth and one-sided differences match.  Leaving it, |det tau| is a
+    # cone: its first-order part cancels from central differences, which keep
+    # a bias linear in eps, removed here by Richardson extrapolation
+    rng = np.random.default_rng(5)
+    cost = indicator_summand_cost((2, 2, 2), 0, 2.0)
+    support = [1, 2, 4]
+    coef = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi = np.zeros((1, 8), dtype=complex)
+    phi[0, support] = 0.8 * coef / np.linalg.norm(coef)
+    m = np.stack([_bipartition(phi, (2, 2, 2), p) for p in ((0, 1), (0, 2))], axis=-3)
+    tau, phase, _ = _tau_residual(m)
+    assert np.all(phase == 0.0) and np.min(np.abs(tau[..., 0, 0])) > 0.01
+    grad = _member_terms(phi, cost)[1][0]
+    assert np.all(np.isfinite(grad))
+    for _ in range(4):
+        v = np.zeros((1, 8), dtype=complex)
+        v[0, support] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        want = np.vdot(grad, v[0]).real
+        assert abs(_directional(cost, phi, v, 1e-7) - want) <= 1e-5 * np.abs(grad).max()
+        v = rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8))
+        mid = [
+            _directional(cost, phi, v, e) - _directional(cost, phi, -v, e) for e in (1e-5, 1e-6)
+        ]
+        limit = (10 * mid[1] - mid[0]) / 18
+        assert abs(limit - np.vdot(grad, v[0]).real) <= 1e-6 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_tee_gradient_at_product_member_below_q_one(dims):
+    # the marginal of a product member has zero eigenvalues, where
+    # lambda^(q-1) is unbounded for q < 1; their terms vanish (u^dagger M = 0),
+    # and one-sided differences fall to the zero gradient like eps^(2q - 1)
+    rng = np.random.default_rng(dims[0])
+    cost = tee_cost(dims, 0, 0.75)
+    a, b = (random_pure_state((d,), rng).amplitudes for d in dims)
+    phi = 0.6 * np.kron(a, b)[None]
+    grad = _member_terms(phi, cost)[1]
+    assert np.all(np.isfinite(grad)) and np.max(np.abs(grad)) <= 1e-10
+    v = rng.standard_normal((1, phi.shape[1])) + 1j * rng.standard_normal((1, phi.shape[1]))
+    slopes = [_directional(cost, phi, v, eps) for eps in (1e-2, 1e-4, 1e-6)]
+    assert slopes[0] > 5 * slopes[1] > 25 * slopes[2] > 0.0
+    assert slopes[2] <= 1e-2
+
+
 def test_cost_rows_per_call_bounded():
-    # rank 8 on a 2 x 32 cut: one gradient sweep over 32 restarts bumps
-    # 32 * 16 members * 256 coordinates = 131072 rows, twice the cap
+    # one cost call per sweep yields the candidates' values and gradients, so
+    # no call after the initial evaluation sees more than restarts * m rows
     rng = np.random.default_rng(8)
     rho = _random_mixture((2, 32), 8, rng)
     rows = []
@@ -442,8 +560,10 @@ def test_cost_rows_per_call_bounded():
         rows.append(len(states))
         return inner(states)
 
-    res = minimize_roof(rho, cost, RoofConfig(max_iterations=2))
+    cfg = RoofConfig(restarts=8, max_iterations=5)
+    res = minimize_roof(rho, cost, cfg)
     m = 2 * 8
     assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
-    assert max(rows) <= _ROW_CAP * m
-    assert sum(rows) > 2 * _ROW_CAP * m
+    # the initial evaluation, one call per sweep and the final recompute
+    assert len(rows) == 1 + res.iterations + 1
+    assert max(rows) <= cfg.restarts * m
