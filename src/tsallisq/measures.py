@@ -117,7 +117,7 @@ def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
     """
     m = np.stack([_bipartition(vecs, dims, sorted(p)) for p in pairs], axis=-3)
     if m.shape[-1] == 2:
-        return _sq_norms(_tau_residual(m)[2])
+        return _sq_norms(_tau_residual(m)[3])
     gram = m @ np.swapaxes(m.conj(), -1, -2)
     gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
     c = concurrence_two_qubit(gram).c
@@ -125,18 +125,16 @@ def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
 
 
 def _tau_residual(m: np.ndarray):
-    """tau = [[a, b], [b, d]] of a stack of 4 x 2 matrices M, the phase
-    u = det/|det| (0 where det = 0) and the row (a - u d*, b + u b*) (u = 1
-    there), whose squared norm is C^2.  grad_M C^2 = 4 (sigma_y x sigma_y) M*
-    (tau - u conj(adj tau)), so the |det| cone adds nothing at det = 0."""
+    """tau, u, the mask det != 0 and the row of _pair_concurrence_sq, for a
+    stack of 4 x 2 matrices M.  grad_M C^2 = 4 (sigma_y x sigma_y) M*
+    (tau - u conj(adj tau)), u taken as 0 at det = 0, the |det| cone's centre."""
     tau = _spin_flip_overlaps(m)
     a, b, d = tau[..., 0, 0], tau[..., 0, 1], tau[..., 1, 1]
     det = a * d - b * b
     mag = np.abs(det)
-    phase = np.zeros_like(det)
-    np.divide(det, mag, out=phase, where=mag > 0.0)
-    u = np.where(mag > 0.0, phase, 1.0)
-    return tau, phase, np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1)
+    live = mag > 0.0
+    u = np.divide(det, mag, out=np.ones_like(det), where=live)
+    return tau, u, live, np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1)
 
 
 @dataclass(frozen=True)

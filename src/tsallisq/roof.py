@@ -374,13 +374,17 @@ def _to_states(grad_mats: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
-def _tee_values(states, dims, party, q):
+def _tee_values(states, dims, party, q, vectors=False):
     """Value-only kernel of tee_cost, with the party|rest matrices M, the
-    marginals sigma = M M^dagger and their spectra (descending for a qubit)."""
+    marginals sigma = M M^dagger, their spectra (descending for a qubit) and,
+    for a larger party if asked, their eigenvectors (else None)."""
     mat = _bipartition(states, dims, (party,))
     gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-    spec = _eig2_descending(gram) if dims[party] == 2 else np.linalg.eigvalsh(gram)
-    return _tsallis_sum(spec, q), mat, gram, spec
+    if dims[party] == 2:
+        spec, vecs = _eig2_descending(gram), None
+    else:
+        spec, vecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    return _tsallis_sum(spec, q), mat, gram, spec, vecs
 
 
 def _concurrence_values(states, dims, party):
@@ -403,12 +407,10 @@ def tee_cost(dims, party: int, q: float):
     q = float(q)
 
     def cost(states: np.ndarray):
-        values, mat, gram, spec = _tee_values(states, dims, party, q)
-        if dims[party] > 2:
-            spec, vecs = np.linalg.eigh(gram)
+        values, mat, gram, spec, vecs = _tee_values(states, dims, party, q, vectors=True)
         cut = 4.0 * np.finfo(float).eps * spec.max(axis=1, keepdims=True)
         logs = _qlog(np.where(spec > cut, spec, 1.0), q)
-        if dims[party] > 2:
+        if vecs is not None:
             log_m = vecs @ (logs[:, :, None] * (vecs.conj().swapaxes(1, 2) @ mat))
         else:
             top, gap = spec[:, :1, None], (spec[:, 0] - spec[:, 1])[:, None, None]
@@ -440,9 +442,10 @@ def indicator_summand_cost(dims, focus: int, q: float):
     Returns T_q(focus marginal)^2 minus the squared pair measures g(x_j) of
     the two focus pairs, each through the concurrence closed form (so q must
     sit in the window where that form is exact).  The gradient is
-    2 T grad T - sum_j 2 g(x_j) g'(x_j) grad x_j with x_j = C_j^2 and
+    2 T grad T - sum_j 2 g(x_j) g'(x_j) grad x_j with x_j = C_j^2 in [0, 1] and
     g'(x) = q (ln_q p+ - ln_q p-)/(4s), s = sqrt(1 - x), p+- = (1 +- s)/2.  A
-    pair adds nothing at x_j = 0, where g = 0, or x_j = 1, where grad x_j = 0.
+    pair adds nothing at x_j = 0, where g = 0, or at x_j = 1, where det tau = 0
+    and grad x_j = grad |tau|^2 is radial (|tau|^2 is at its maximum 1).
     """
     dims = tuple(int(d) for d in dims)
     if dims != (2, 2, 2):
@@ -457,14 +460,14 @@ def indicator_summand_cost(dims, focus: int, q: float):
     def cost(states: np.ndarray):
         t, t_grad = focus_tee(states)
         m = np.stack([_bipartition(states, dims, p) for p in pairs], axis=-3)
-        tau, phase, row = _tau_residual(m)
-        x = _sq_norms(row)
+        tau, phase, live, row = _tau_residual(m)
+        x = np.clip(_sq_norms(row), 0.0, 1.0)
         pair_tee = tee_from_concurrence_sq(x, q)
-        s = np.sqrt(1.0 - np.clip(x, 0.0, 1.0))
+        s = np.sqrt(1.0 - x)
         logs = _qlog(np.stack([(1.0 + s) / 2.0, np.where(x > 0.0, x, 1.0) / (2.0 * (1.0 + s))]), q)
         coef = -2.0 * q * pair_tee * (logs[0] - logs[1]) / np.maximum(s, _TINY)
         adj = tau[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        e = tau - phase[..., None, None] * adj.conj()
+        e = tau - (phase * live)[..., None, None] * adj.conj()
         x_grad = (_FLIP_SIGN[:, None] * m[..., ::-1, :].conj()) @ e
         grads = 2.0 * t[:, None] * t_grad
         for j, p in enumerate(pairs):

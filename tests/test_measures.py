@@ -263,25 +263,13 @@ def test_scalar_and_batched_routes_agree(seed, q):
         got = np.sqrt(_pair_concurrence_sq(batch, (2, 2, 2), [keep])[:, 0])
         ref = [concurrence_two_qubit(psi.reduced(keep)).c for psi in states]
         assert np.max(np.abs(got - ref)) <= 1e-12
-    qudit = random_pure_state((2, 3, 2), rng)
-    for party in range(3):
-        got = tee_cost(qudit.dims, party, q)(qudit.amplitudes[None])[0][0]
-        assert abs(got - tee_pure(qudit, party, q)) <= 1e-12
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3)])
-def test_pure_values_are_the_cost_values_bit_for_bit(dims):
-    # tee_pure and concurrence_pure run the costs' value-only kernels, never
-    # a gradient, so both routes give the same floats
-    rng = np.random.default_rng(sum(dims))
-    states = [random_pure_state(dims, rng) for _ in range(5)]
-    batch = np.stack([psi.amplitudes for psi in states])
-    for party in range(len(dims)):
-        for q in (0.75, 1.0, 1.0 + 1e-9, 2.0, 3.5):
-            got = tee_cost(dims, party, q)(batch)[0]
-            assert got.tolist() == [tee_pure(psi, party, q) for psi in states]
-        got = concurrence_cost(dims, party)(batch)[0]
-        assert got.tolist() == [concurrence_pure(psi, party) for psi in states]
+    for dims in ((2, 3, 2), (3, 3)):
+        qudit = random_pure_state(dims, rng)
+        for party in range(len(dims)):
+            got = tee_cost(dims, party, q)(qudit.amplitudes[None])[0][0]
+            assert abs(got - tee_pure(qudit, party, q)) <= 1e-12
+            got = concurrence_cost(dims, party)(qudit.amplitudes[None])[0][0]
+            assert abs(got - concurrence_pure(qudit, party)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])

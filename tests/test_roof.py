@@ -17,7 +17,7 @@ from tsallisq import (
     tee_two_qubit,
     w_state,
 )
-from tsallisq.linalg import _bipartition
+from tsallisq.linalg import _bipartition, _sq_norms
 from tsallisq.measures import _pair_concurrence_sq, _tau_residual
 from tsallisq.roof import (
     _eigenbasis,
@@ -514,8 +514,8 @@ def test_indicator_gradient_where_tau_has_rank_one():
     phi = np.zeros((1, 8), dtype=complex)
     phi[0, support] = 0.8 * coef / np.linalg.norm(coef)
     m = np.stack([_bipartition(phi, (2, 2, 2), p) for p in ((0, 1), (0, 2))], axis=-3)
-    tau, phase, _ = _tau_residual(m)
-    assert np.all(phase == 0.0) and np.min(np.abs(tau[..., 0, 0])) > 0.01
+    tau, _, live, _ = _tau_residual(m)
+    assert not live.any() and np.min(np.abs(tau[..., 0, 0])) > 0.01
     grad = _member_terms(phi, cost)[1][0]
     assert np.all(np.isfinite(grad))
     for _ in range(4):
@@ -529,6 +529,25 @@ def test_indicator_gradient_where_tau_has_rank_one():
         ]
         limit = (10 * mid[1] - mid[0]) / 18
         assert abs(limit - np.vdot(grad, v[0]).real) <= 1e-6 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("q", [0.75, 2.0, 3.5])
+def test_indicator_gradient_at_a_maximally_entangled_focus_pair(q):
+    # (|000> + |101>)/sqrt 2 with amplitudes fl(sqrt 0.5): the focus pair
+    # (0, 2) is a Bell pair whose x = C^2 rounds above 1.  p+ and p- must then
+    # agree exactly, or g'(x) divides their rounding by s = 0.  The member is
+    # a zero of the nonnegative summand, so its term's gradient is 0
+    cost = indicator_summand_cost((2, 2, 2), 0, q)
+    phi = np.zeros((1, 8), dtype=complex)
+    phi[0, [0, 5]] = np.sqrt(0.5)
+    m = np.stack([_bipartition(phi, (2, 2, 2), p) for p in ((0, 1), (0, 2))], axis=-3)
+    assert _sq_norms(_tau_residual(m)[3])[0, 1] > 1.0
+    grads = cost(phi)[1]
+    assert np.all(np.isfinite(grads)) and np.max(np.abs(grads)) <= 4.0
+    for scale in (1.0, 0.8):
+        grad = _member_terms(scale * phi, cost)[1]
+        assert np.max(np.abs(grad)) <= 1e-12
+        assert np.max(np.abs(_term_differences(cost, scale * phi))) <= 1e-9
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
