@@ -37,11 +37,6 @@ from .measures import (
 )
 
 
-def _prep(x, q):
-    X, Q = np.broadcast_arrays(*_check_xq(x, q))
-    return X.astype(float), Q.astype(float)
-
-
 def _powers(X, Q):
     """s = sqrt(1-x) and, with A = 1+s and B = 1-s = x/A (cancellation-free),
     the two power combinations the curvature formulas share:
@@ -62,7 +57,24 @@ def _interior_curvature(X, Q, D1, d0):
     return Q / 2.0 ** (Q + 2.0) * (D1 / (1.0 - X) ** 1.5 - d0 / (1.0 - X))
 
 
-def _scalar_or_array(out, scalar_in):
+def _curvature_at_one(Q):
+    """d^2/dx^2 of the squared-concurrence-to-TEE map at x = 1."""
+    return -Q * (Q - 2.0) * (Q - 3.0) / (3.0 * 2.0 ** (Q + 1.0))
+
+
+def _regions(x, q, interior, at_zero, at_one):
+    """One curvature on the broadcast of x and q: interior(X, Q) where
+    0 < x < 1, and the one-sided limits at_zero(Q) at x = 0 and at_one(Q) at
+    x = 1.  Scalars in, scalar out."""
+    scalar_in = np.isscalar(x) and np.isscalar(q)
+    X, Q = (a.astype(float) for a in np.broadcast_arrays(*_check_xq(x, q)))
+    out = np.empty(X.shape, dtype=float)
+    inner = (X > 0.0) & (X < 1.0)
+    if np.any(inner):
+        out[inner] = interior(X[inner], Q[inner])
+    for edge, limit in ((X == 0.0, at_zero), (X == 1.0, at_one)):
+        if np.any(edge):
+            out[edge] = limit(Q[edge])
     if scalar_in:
         return float(out.reshape(()))
     return out
@@ -74,30 +86,15 @@ def tee_curvature(x, q):
     At x = 0 the curvature diverges to -inf for q < 2 (q = 2 gives 0,
     q > 2 gives q(3-q)/(16(q-1))); at x = 1 it is -q(q-2)(q-3)/(3 2^(q+1)).
     """
-    scalar_in = np.isscalar(x) and np.isscalar(q)
-    X, Q = _prep(x, q)
-    out = np.empty(X.shape, dtype=float)
+    def interior(X, Q):
+        _, D1, d0 = _powers(X, Q)
+        return _interior_curvature(X, Q, D1, d0)
 
-    inner = (X > 0.0) & (X < 1.0)
-    if np.any(inner):
-        Xi, Qi = X[inner], Q[inner]
-        _, D1, d0 = _powers(Xi, Qi)
-        out[inner] = _interior_curvature(Xi, Qi, D1, d0)
+    def at_zero(Q):
+        above = Q * (3.0 - Q) / (16.0 * np.where(Q > 2.0, Q - 1.0, 1.0))
+        return np.where(Q > 2.0, above, np.where(Q == 2.0, 0.0, -np.inf))
 
-    left = X == 0.0
-    if np.any(left):
-        Ql = Q[left]
-        vals = np.where(
-            Ql > 2.0,
-            Ql * (3.0 - Ql) / (16.0 * np.where(Ql > 2.0, Ql - 1.0, 1.0)),
-            np.where(Ql == 2.0, 0.0, -np.inf),
-        )
-        out[left] = vals
-    right = X == 1.0
-    if np.any(right):
-        Qr = Q[right]
-        out[right] = -Qr * (Qr - 2.0) * (Qr - 3.0) / (3.0 * 2.0 ** (Qr + 1.0))
-    return _scalar_or_array(out, scalar_in)
+    return _regions(x, q, interior, at_zero, _curvature_at_one)
 
 
 def tee_sq_curvature(x, q):
@@ -106,33 +103,20 @@ def tee_sq_curvature(x, q):
     Decomposes as 2 f'^2 + 2 f f''.  At x = 0 the value is q^2/(8(q-1)^2)
     for q > 1 and +inf for q <= 1 (a real divergence, not overflow).
     """
-    scalar_in = np.isscalar(x) and np.isscalar(q)
-    X, Q = _prep(x, q)
-    out = np.empty(X.shape, dtype=float)
+    def interior(X, Q):
+        _, D1, d0 = _powers(X, Q)
+        f = tee_from_concurrence_sq(X, Q)
+        slope_sq = Q**2 * D1**2 / (2.0 ** (2.0 * Q + 1.0) * (1.0 - X))
+        return slope_sq + 2.0 * f * _interior_curvature(X, Q, D1, d0)
 
-    inner = (X > 0.0) & (X < 1.0)
-    if np.any(inner):
-        Xi, Qi = X[inner], Q[inner]
-        _, D1, d0 = _powers(Xi, Qi)
-        f = tee_from_concurrence_sq(Xi, Qi)
-        slope_sq = Qi**2 * D1**2 / (2.0 ** (2.0 * Qi + 1.0) * (1.0 - Xi))
-        out[inner] = slope_sq + 2.0 * f * _interior_curvature(Xi, Qi, D1, d0)
-    left = X == 0.0
-    if np.any(left):
-        Ql = Q[left]
-        out[left] = np.where(
-            Ql > 1.0,
-            Ql**2 / (8.0 * np.where(Ql > 1.0, Ql - 1.0, 1.0) ** 2),
-            np.inf,
-        )
-    right = X == 1.0
-    if np.any(right):
-        Qr = Q[right]
-        slope_sq = 2.0 * Qr**2 / 4.0**Qr
-        f1 = -_qlog(0.5, Qr)
-        g1 = -Qr * (Qr - 2.0) * (Qr - 3.0) / (3.0 * 2.0 ** (Qr + 1.0))
-        out[right] = slope_sq + 2.0 * f1 * g1
-    return _scalar_or_array(out, scalar_in)
+    def at_zero(Q):
+        return np.where(Q > 1.0, Q**2 / (8.0 * np.where(Q > 1.0, Q - 1.0, 1.0) ** 2), np.inf)
+
+    def at_one(Q):
+        slope_sq = 2.0 * Q**2 / 4.0**Q
+        return slope_sq + 2.0 * -_qlog(0.5, Q) * _curvature_at_one(Q)
+
+    return _regions(x, q, interior, at_zero, at_one)
 
 
 def tee_curvature_wrt_c(q, c):
@@ -142,28 +126,15 @@ def tee_curvature_wrt_c(q, c):
     toward the maximally entangled state can overshoot the roof; its limit
     there is curvature_limit_at_max_c(q).
     """
-    scalar_in = np.isscalar(q) and np.isscalar(c)
-    C, Q = _prep(c, q)
-    out = np.empty(C.shape, dtype=float)
+    def interior(C, Q):
+        X = C**2
+        s, D1, d0 = _powers(X, Q)
+        return Q / 2.0**Q * (D1 / s**3 - X * d0 / s**2)
 
-    inner = (C > 0.0) & (C < 1.0)
-    if np.any(inner):
-        Ci, Qi = C[inner], Q[inner]
-        Xi = Ci**2
-        s, D1, d0 = _powers(Xi, Qi)
-        out[inner] = Qi / 2.0**Qi * (D1 / s**3 - Xi * d0 / s**2)
-    left = C == 0.0
-    if np.any(left):
-        Ql = Q[left]
-        out[left] = np.where(
-            Ql > 1.0,
-            Ql / (2.0 * np.where(Ql > 1.0, Ql - 1.0, 1.0)),
-            np.inf,
-        )
-    right = C == 1.0
-    if np.any(right):
-        out[right] = curvature_limit_at_max_c(Q[right])
-    return _scalar_or_array(out, scalar_in)
+    def at_zero(Q):
+        return np.where(Q > 1.0, Q / (2.0 * np.where(Q > 1.0, Q - 1.0, 1.0)), np.inf)
+
+    return _regions(c, q, interior, at_zero, curvature_limit_at_max_c)
 
 
 def curvature_limit_at_max_c(q):

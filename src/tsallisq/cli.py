@@ -13,7 +13,6 @@ are always included).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -49,6 +48,7 @@ from .measures import (
     tsallis_entropy,
 )
 from .monogamy import (
+    _gw_indicator,
     alpha_residual,
     ckw_check,
     example3_residual,
@@ -412,12 +412,9 @@ def _family_grid(args, subject: str, payload: dict):
     axes = [parse_range(_require(args, f"--{label}", subject)) for label in labels]
     if subject == "gw-indicator":
         q = payload["q"] = _single_q(args, subject)
-        values = [
-            indicator(generalized_w(th, ph), q, focus=args.focus).value
-            for th, ph in itertools.product(*axes)
-        ]
+        values = _gw_indicator(axes[0][:, None], axes[1][None, :], q, args.focus)
     elif subject == "example3":
-        values = [example3_residual(float(th), axes[1]) for th in axes[0]]
+        values = example3_residual(axes[0][:, None], axes[1][None, :])
     elif subject == "w-indicator":
         payload["n"] = args.n
         values = w_indicator_closed_form(args.n, axes[0])
@@ -696,7 +693,7 @@ def _suite_examples(seed: int) -> list[dict]:
     checks = _root_checks("negative beyond")
     thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, 24)
     qs = np.linspace(1.01, 4.30, 30)
-    grid = np.array([example3_residual(float(th), qs) for th in thetas])
+    grid = example3_residual(thetas[:, None], qs[None, :])
     i, j = np.unravel_index(np.argmin(grid), grid.shape)
     checks.append(
         _check(
@@ -705,15 +702,13 @@ def _suite_examples(seed: int) -> list[dict]:
             f"min residual {grid[i, j]:.6g} at theta={thetas[i]:.4f}, q={qs[j]:.4f}",
         )
     )
-    zeros = [
-        abs(indicator(generalized_w(math.pi / 2.0, phi), 2.0).value)
-        for phi in (math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi)
-    ]
+    phis = np.array([math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi])
+    zeros = np.abs(_gw_indicator(math.pi / 2.0, phis, 2.0))
     checks.append(
         _check(
             "gw-separable-zeros",
-            all(z <= 1e-9 for z in zeros),
-            f"largest |indicator| at the four product angles: {max(zeros):.2e}",
+            (zeros <= 1e-9).all(),
+            f"largest |indicator| at the four product angles: {zeros.max():.2e}",
         )
     )
     regressions = [
@@ -721,7 +716,8 @@ def _suite_examples(seed: int) -> list[dict]:
         ("pi/2, pi/3", math.pi / 2.0, math.pi / 3.0, 24.0 / 625.0),
         ("pi/4, pi/4", math.pi / 4.0, math.pi / 4.0, 1.0 / 8.0),
     ]
-    got = [indicator(generalized_w(th, ph), 2.0).value for _, th, ph, _ in regressions]
+    _, ths, phs, _ = zip(*regressions)
+    got = _gw_indicator(np.array(ths), np.array(phs), 2.0)
     checks.append(
         _check(
             "gw-regression-values",
@@ -731,11 +727,8 @@ def _suite_examples(seed: int) -> list[dict]:
     )
     # theta in {0, pi} with phi in {pi/2, 3pi/2} zeroes every amplitude, so
     # the grid stays slightly inside the theta interval
-    worst = min(
-        indicator(generalized_w(th, ph), 2.0).value
-        for th in np.linspace(0.02, math.pi - 0.02, 13)
-        for ph in np.linspace(0.0, 2.0 * math.pi, 25)
-    )
+    angles = np.linspace(0.02, math.pi - 0.02, 13)[:, None], np.linspace(0.0, 2.0 * math.pi, 25)
+    worst = _gw_indicator(*angles, 2.0).min()
     checks.append(
         _check(
             "gw-grid-nonnegative",
@@ -855,7 +848,9 @@ def build_parser() -> _Parser:
     _add_output_args(sp)
     sp.set_defaults(func=cmd_monogamy)
 
-    sp = sub.add_parser("indicator", help="monogamy-deficit indicator (three qubits)")
+    sp = sub.add_parser(
+        "indicator", help="monogamy-deficit indicator (N-qubit pure, three-qubit mixed)"
+    )
     _add_state_args(sp)
     sp.add_argument("--q", required=True)
     sp.add_argument("--focus", type=int, default=0)

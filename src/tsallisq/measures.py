@@ -6,6 +6,8 @@ Every Tsallis sum in the package goes through one kernel, _tsallis_sum, built
 on the q-logarithm (p^(q-1) - 1)/(q - 1).  Near q = 1 that difference is
 evaluated with expm1, so each entropy is continuous through its von Neumann
 value (natural logarithms) at q = 1 and exact to rounding on both sides.
+The batched pure-state value kernels (party|rest TEE and concurrence, pair
+concurrences) live here; the roof costs add their gradients on top.
 """
 
 from __future__ import annotations
@@ -137,6 +139,43 @@ def _tau_residual(m: np.ndarray):
     return tau, u, live, np.stack([a - u * d.conj(), b + u * b.conj()], axis=-1)
 
 
+def _eig2_descending(gram: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvalues of a batch of 2x2 Hermitian matrices."""
+    a = gram[:, 0, 0].real
+    c = gram[:, 1, 1].real
+    off = np.abs(gram[:, 0, 1]) ** 2
+    tr = a + c
+    disc = np.sqrt(np.clip((a - c) ** 2 + 4.0 * off, 0.0, None))
+    hi = (tr + disc) / 2.0
+    lo = (tr - disc) / 2.0
+    return np.stack([hi, lo], axis=1)
+
+
+def _tee_values(states, dims, party, q, vectors=False):
+    """Tsallis-q entanglement across party|rest of a batch (n, dim) of pure
+    vectors, with the party|rest matrices M, the marginals sigma = M M^dagger,
+    their spectra (descending for a qubit) and, for a larger party if asked,
+    their eigenvectors (else None)."""
+    mat = _bipartition(states, dims, (party,))
+    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    if dims[party] == 2:
+        spec, vecs = _eig2_descending(gram), None
+    else:
+        spec, vecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+    return _tsallis_sum(spec, q), mat, gram, spec, vecs
+
+
+def _concurrence_values(states, dims, party):
+    """Generalized concurrence sqrt(2(1 - purity)) across party|rest of a
+    batch (n, dim) of pure vectors, clamped to sqrt(2(d-1)/d) for the smaller
+    side dimension d, with M and sigma as above."""
+    mat = _bipartition(states, dims, (party,))
+    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    side = min(mat.shape[1:])
+    purity = np.einsum("nij,nij->n", gram, gram.conj()).real
+    return np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, 2.0 * (side - 1) / side)), mat, gram
+
+
 @dataclass(frozen=True)
 class QParam:
     """Entropic order q with the range predicates the package keys off."""
@@ -242,8 +281,6 @@ def concurrence_pure(psi: PureState, party: int = 0) -> float:
 
     Clamped to the ceiling sqrt(2(d-1)/d) set by the smaller side dimension d.
     """
-    from .roof import _concurrence_values  # roof imports this module
-
     party = int(party)
     if party < 0 or party >= psi.num_sites:
         raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
@@ -276,8 +313,6 @@ def ef_two_qubit(rho: DensityMatrix) -> float:
 
 def tee_pure(psi: PureState, party: int, q) -> float:
     """Tsallis-q entanglement of a pure state across the party/rest cut."""
-    from .roof import _tee_values  # roof imports this module
-
     qp = as_q(q)
     party = int(party)
     if party < 0 or party >= psi.num_sites:

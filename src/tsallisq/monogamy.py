@@ -7,7 +7,8 @@ q = 1 every entry is the von Neumann value in natural logs.
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,13 @@ from .measures import (
     QParam,
     _check_q,
     _pair_concurrence_sq,
+    _tee_values,
     as_q,
     concurrence_pure,
+    tee_2xd,
     tee_from_concurrence_sq,
-    tee_pure,
 )
-from .qstate import DensityMatrix, PureState
+from .qstate import DensityMatrix, PureState, _generalized_w_amplitudes
 from .roof import (
     RoofConfig,
     RoofResult,
@@ -70,10 +72,16 @@ class IndicatorResult:
     roof: RoofResult | None = None
 
 
+def _residual(lhs, terms):
+    """lhs minus the terms added left to right; terms runs over the partners
+    (floats, or the (partners, n) rows of a batch)."""
+    return lhs - functools.reduce(operator.add, terms, 0.0)
+
+
 def _build_report(q, lhs, terms, partners, tolerance) -> MonogamyReport:
     lhs = float(lhs)
     terms = tuple(float(t) for t in terms)
-    residual = lhs - sum(terms)
+    residual = _residual(lhs, terms)
     return MonogamyReport(
         q=q,
         lhs=lhs,
@@ -85,27 +93,39 @@ def _build_report(q, lhs, terms, partners, tolerance) -> MonogamyReport:
     )
 
 
-def _require_qubits(psi: PureState, focus: int) -> tuple[int, ...]:
-    if any(d != 2 for d in psi.dims):
-        raise PartitionError(f"this check needs qubits throughout, got dims {psi.dims}")
-    if psi.num_sites < 3:
+def _window_q(q) -> QParam:
+    qp = as_q(q)
+    if not qp.analytic_two_qubit:
+        raise QRangeError(f"q={qp.q:.12g} is outside the window where pair terms are exact")
+    return qp
+
+
+def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
+    if any(d != 2 for d in dims):
+        raise PartitionError(f"this check needs qubits throughout, got dims {dims}")
+    if len(dims) < 3:
         raise PartitionError("monogamy needs at least three parties")
     focus = int(focus)
-    if focus < 0 or focus >= psi.num_sites:
-        raise DomainError(f"focus {focus} out of range for {psi.num_sites} qubits")
-    return tuple(j for j in range(psi.num_sites) if j != focus)
+    if focus < 0 or focus >= len(dims):
+        raise DomainError(f"focus {focus} out of range for {len(dims)} qubits")
+    return tuple(j for j in range(len(dims)) if j != focus)
 
 
-def _pair_csq(psi: PureState, focus: int, partners) -> np.ndarray:
-    """Squared concurrences of the pairs (focus, j), one per partner j."""
-    return _pair_concurrence_sq(psi.amplitudes, psi.dims, [(focus, j) for j in partners])
+def _power_rows(vecs, dims, focus: int, partners, alpha: float, q: float):
+    """T_q(focus|rest)^alpha, shape (n,), and T_q(focus, j)^alpha for each
+    partner j, shape (n, len(partners)), of a batch (n, 2^N) of N-qubit pure
+    vectors.  The pair terms go through the concurrence closed form, which is
+    exact inside the window _window_q checks."""
+    lhs = _tee_values(vecs, dims, focus, q)[0] ** alpha
+    csq = _pair_concurrence_sq(vecs, dims, [(focus, j) for j in partners])
+    return lhs, tee_from_concurrence_sq(csq, q) ** alpha
 
 
 def ckw_check(psi: PureState, focus: int = 0, tolerance: float = 1e-9) -> MonogamyReport:
     """Squared-concurrence monogamy for an N-qubit pure state."""
-    partners = _require_qubits(psi, focus)
+    partners = _qubit_partners(psi.dims, focus)
     lhs = concurrence_pure(psi, focus) ** 2
-    terms = _pair_csq(psi, focus, partners)
+    terms = _pair_concurrence_sq(psi.amplitudes, psi.dims, [(focus, j) for j in partners])
     return _build_report(None, lhs, terms, partners, tolerance)
 
 
@@ -127,17 +147,10 @@ def alpha_residual(
     alpha = float(alpha)
     if alpha < 2.0:
         raise DomainError(f"alpha must be >= 2, got {alpha!r}")
-    qp = as_q(q)
-    if not qp.analytic_two_qubit:
-        raise QRangeError(
-            f"q={qp.q:.12g} is outside the window where pair terms are exact"
-        )
-    partners = _require_qubits(psi, focus)
-    lhs = tee_pure(psi, focus, qp) ** alpha
-    # a Python float power, which numpy's array power does not match bit for bit
-    pair_tee = tee_from_concurrence_sq(_pair_csq(psi, focus, partners), qp.q)
-    terms = [float(t) ** alpha for t in pair_tee]
-    return _build_report(qp, lhs, terms, partners, tolerance)
+    qp = _window_q(q)
+    partners = _qubit_partners(psi.dims, focus)
+    lhs, terms = _power_rows(psi.amplitudes[None], psi.dims, focus, partners, alpha, qp.q)
+    return _build_report(qp, lhs[0], terms[0], partners, tolerance)
 
 
 def hierarchical_check(
@@ -161,7 +174,7 @@ def hierarchical_check(
         raise QRangeError(
             f"q={qp.q:.12g} is outside the concave regime the block term needs"
         )
-    partners = _require_qubits(psi, focus)
+    partners = _qubit_partners(psi.dims, focus)
     n = psi.num_sites
     k = int(k)
     if k < 3 or k > n:
@@ -169,9 +182,8 @@ def hierarchical_check(
 
     singles = partners if k == n else partners[: k - 2]
     block = partners[len(singles) :]
-    lhs = tee_pure(psi, focus, qp) ** 2
-    pair_tee = tee_from_concurrence_sq(_pair_csq(psi, focus, singles), qp.q)
-    terms = [float(t) ** 2 for t in pair_tee]
+    lhs, terms = _power_rows(psi.amplitudes[None], psi.dims, focus, singles, 2.0, qp.q)
+    terms = list(terms[0])
     labels = list(singles)
     if block:
         # the focus qubit against the merged block, with the singles traced out
@@ -179,28 +191,22 @@ def hierarchical_check(
         rho = mat @ mat.conj().T
         cut = DensityMatrix((psi.dims[focus], rho.shape[0] // psi.dims[focus]), rho)
         roof = roof_concurrence(cut, config)
-        terms.append(float(tee_from_concurrence_sq(roof.value**2, qp.q)) ** 2)
+        terms.append(tee_2xd(cut, qp, roof.value).value ** 2)
         labels.append(tuple(block))
-    return _build_report(qp, lhs, terms, labels, tolerance)
+    return _build_report(qp, lhs[0], terms, labels, tolerance)
 
 
 def indicator(
     state, q, config: RoofConfig | None = None, focus: int = 0
 ) -> IndicatorResult:
-    """Monogamy-deficit indicator of a three-qubit state.
+    """Monogamy-deficit indicator of an N-qubit pure or a three-qubit mixed state.
 
     Pure input evaluates the squared-TEE residual exactly; mixed input runs
     the convex roof of the pure-state summand, whose result can only
     overestimate the true indicator.
     """
-    qp = as_q(q)
-    if not qp.analytic_two_qubit:
-        raise QRangeError(
-            f"q={qp.q:.12g} is outside the window where pair terms are exact"
-        )
+    qp = _window_q(q)
     if isinstance(state, PureState):
-        if state.dims != (2, 2, 2):
-            raise PartitionError(f"indicator needs three qubits, got dims {state.dims}")
         report = tee_sq_residual(state, focus, qp)
         return IndicatorResult(value=report.residual, upper_bound=False, report=report)
     if isinstance(state, DensityMatrix):
@@ -213,6 +219,16 @@ def indicator(
         )
         return IndicatorResult(value=roof.value, upper_bound=True, roof=roof)
     raise TypeError(f"indicator expects PureState or DensityMatrix, got {type(state)!r}")
+
+
+def _gw_indicator(theta, phi, q, focus: int = 0) -> np.ndarray:
+    """indicator(generalized_w(theta, phi), q, focus=focus).value on the
+    broadcast of theta and phi, bit for bit, as one batch."""
+    amps = _generalized_w_amplitudes(theta, phi)
+    qp = _window_q(q)
+    partners = _qubit_partners((2, 2, 2), focus)
+    lhs, terms = _power_rows(amps.reshape(-1, 8), (2, 2, 2), focus, partners, 2.0, qp.q)
+    return _residual(lhs, terms.T).reshape(amps.shape[:-1])
 
 
 # --- closed forms for the named families --------------------------------------
@@ -241,21 +257,21 @@ def _no_unit_q(q):
     return qa
 
 
-def example3_residual(theta: float, q):
+def example3_residual(theta, q):
     """Closed-form indicator of the 4x2x2 family, focus on the qudit.
 
     Every branch of the optimal decompositions has the same marginal
     spectrum, so both pair roofs collapse to constants: with a = 2^(1-q) and
     b = cos(theta)^(2q) + sin(theta)^(2q) the residual is
-    ((1-ab)^2 - (1-a)^2 - (1-b)^2)/(q-1)^2.  Broadcasts over q.
+    ((1-ab)^2 - (1-a)^2 - (1-b)^2)/(q-1)^2.  Broadcasts theta against q.
     """
     qa = _no_unit_q(q)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
+    c2 = np.square(np.cos(theta))
+    s2 = np.square(np.sin(theta))
     a = 2.0 ** (1.0 - qa)
     b = c2**qa + s2**qa
     out = ((1.0 - a * b) ** 2 - (1.0 - a) ** 2 - (1.0 - b) ** 2) / (qa - 1.0) ** 2
-    if np.isscalar(q):
+    if np.isscalar(theta) and np.isscalar(q):
         return float(out)
     return out
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, StateFormatError
-from .linalg import _bipartition, partial_trace
+from .linalg import _bipartition, _sq_norms, partial_trace
 
 MAX_TOTAL_DIM = 64
 
@@ -175,7 +175,7 @@ def reduced_density(psi: PureState, keep) -> DensityMatrix:
     """Reduced state of a pure state on the kept subsystems.
 
     Uses the Gram-matrix route (reshape, then M @ M+), which is cheaper than
-    forming the full projector first.
+    forming the full projector first; DensityMatrix symmetrizes the result.
     """
     keep = sorted(set(int(k) for k in keep))
     n = psi.num_sites
@@ -184,9 +184,7 @@ def reduced_density(psi: PureState, keep) -> DensityMatrix:
     if len(keep) == n:
         return psi.to_density()
     mat = _bipartition(psi.amplitudes, psi.dims, keep)
-    rho = mat @ mat.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(tuple(psi.dims[i] for i in keep), rho)
+    return DensityMatrix(tuple(psi.dims[i] for i in keep), mat @ mat.conj().T)
 
 
 # --- named states -----------------------------------------------------------
@@ -213,24 +211,33 @@ def w_state(n: int) -> PureState:
     return PureState((2,) * n, amps)
 
 
+def _generalized_w_amplitudes(theta, phi) -> np.ndarray:
+    """Normalized generalized_w amplitudes (..., 8) on the broadcast of theta
+    and phi; the first point in row-major order whose amplitudes vanish is
+    reported with the angles as given there."""
+    shape = np.broadcast(theta, phi).shape
+    amps = np.zeros(shape + (8,), dtype=complex)
+    amps[..., 1] = np.sin(theta) * np.cos(phi)
+    amps[..., 2] = np.sin(theta) * np.sin(phi)
+    amps[..., 4] = np.cos(phi)
+    norm = np.sqrt(_sq_norms(amps))
+    # sin/cos of the singular angles land at rounding noise, not exact zero,
+    # so the cutoff has to sit well above machine epsilon
+    small = norm < 1e-9
+    if small.any():
+        at = np.unravel_index(np.argmax(small), shape)
+        th, ph = (np.broadcast_to(a, shape)[at] if np.ndim(a) else a for a in (theta, phi))
+        raise DomainError(f"generalized_w amplitudes vanish at theta={th!r}, phi={ph!r}")
+    return amps / norm[..., None]
+
+
 def generalized_w(theta: float, phi: float) -> PureState:
     """Two-angle W-class family on three qubits.
 
     Amplitudes before normalization: sin(theta)cos(phi) on |001>,
     sin(theta)sin(phi) on |010>, cos(phi) on |100>.
     """
-    amps = np.zeros(8, dtype=complex)
-    amps[1] = np.sin(theta) * np.cos(phi)
-    amps[2] = np.sin(theta) * np.sin(phi)
-    amps[4] = np.cos(phi)
-    norm = np.linalg.norm(amps)
-    # sin/cos of the singular angles land at rounding noise, not exact zero,
-    # so the cutoff has to sit well above machine epsilon
-    if norm < 1e-9:
-        raise DomainError(
-            f"generalized_w amplitudes vanish at theta={theta!r}, phi={phi!r}"
-        )
-    return PureState((2, 2, 2), amps / norm)
+    return PureState((2, 2, 2), _generalized_w_amplitudes(theta, phi))
 
 
 def example3_state(theta: float) -> PureState:

@@ -40,7 +40,14 @@ import numpy as np
 
 from .errors import DomainError, PartitionError
 from .linalg import _bipartition, _sq_norms
-from .measures import _FLIP_SIGN, _qlog, _tau_residual, _tsallis_sum, tee_from_concurrence_sq
+from .measures import (
+    _FLIP_SIGN,
+    _concurrence_values,
+    _qlog,
+    _tau_residual,
+    _tee_values,
+    tee_from_concurrence_sq,
+)
 from .qstate import Decomposition, DensityMatrix, PureState
 
 _RANK_TOL = 1e-10
@@ -344,19 +351,7 @@ def minimize_roof(
     )
 
 
-# --- pure-state cost factories -----------------------------------------------
-
-
-def _eig2_descending(gram: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues of a batch of 2x2 Hermitian matrices."""
-    a = gram[:, 0, 0].real
-    c = gram[:, 1, 1].real
-    off = np.abs(gram[:, 0, 1]) ** 2
-    tr = a + c
-    disc = np.sqrt(np.clip((a - c) ** 2 + 4.0 * off, 0.0, None))
-    hi = (tr + disc) / 2.0
-    lo = (tr - disc) / 2.0
-    return np.stack([hi, lo], axis=1)
+# --- pure-state cost factories: values from measures, gradients here ---------
 
 
 def _check_party(dims, party):
@@ -372,28 +367,6 @@ def _to_states(grad_mats: np.ndarray, dims, keep) -> np.ndarray:
     out = np.empty((len(grad_mats), order.size), dtype=complex)
     out[:, order] = grad_mats.reshape(len(grad_mats), -1)
     return out
-
-
-def _tee_values(states, dims, party, q, vectors=False):
-    """Value-only kernel of tee_cost, with the party|rest matrices M, the
-    marginals sigma = M M^dagger, their spectra (descending for a qubit) and,
-    for a larger party if asked, their eigenvectors (else None)."""
-    mat = _bipartition(states, dims, (party,))
-    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-    if dims[party] == 2:
-        spec, vecs = _eig2_descending(gram), None
-    else:
-        spec, vecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
-    return _tsallis_sum(spec, q), mat, gram, spec, vecs
-
-
-def _concurrence_values(states, dims, party):
-    """Value-only kernel of concurrence_cost, with M and sigma as above."""
-    mat = _bipartition(states, dims, (party,))
-    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
-    side = min(mat.shape[1:])
-    purity = np.einsum("nij,nij->n", gram, gram.conj()).real
-    return np.sqrt(np.clip(2.0 * (1.0 - purity), 0.0, 2.0 * (side - 1) / side)), mat, gram
 
 
 def tee_cost(dims, party: int, q: float):

@@ -10,6 +10,7 @@ from tsallisq import (
     random_biseparable_mixture,
     random_pure_state,
     save_state,
+    w_indicator_closed_form,
 )
 from tsallisq.cli import UsageError, main, parse_number, parse_range
 
@@ -243,6 +244,32 @@ def test_scan_gw_grid(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "theta,phi,value"
     assert len(lines) == 1 + 4 * 5
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (
+            ["--theta", "0:1:2", "--phi", "pi/2", "--q", "2"],
+            "generalized_w amplitudes vanish at theta=np.float64(0.0), "
+            "phi=np.float64(1.5707963267948966)",
+        ),
+        (["--q", "5"], "q=5 is outside the window where pair terms are exact"),
+        (["--q", "2", "--focus", "3"], "focus 3 out of range for 3 qubits"),
+    ],
+)
+def test_scan_gw_single_faults(capsys, fault, message):
+    grid = [] if "--theta" in fault else ["--theta", "0.02:3.12:32", "--phi", "0:2pi:64"]
+    assert main(["scan", "gw-indicator", *grid, *fault]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_indicator_pure_n_qubits(capsys):
+    assert main(["indicator", "w:4", "--q", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == pytest.approx(w_indicator_closed_form(4, 2.0), abs=1e-12)
+    assert payload["upper_bound"] is False
 
 
 def test_verify_exit_codes(capsys):

@@ -373,3 +373,16 @@ def test_tee_pure_ghz_across_any_cut():
     g = ghz(4)
     for party in range(4):
         assert tee_pure(g, party, 2.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_measures_holds_its_kernels_without_importing_roof():
+    import ast
+    import pathlib
+
+    import tsallisq.measures as measures
+
+    tree = ast.parse(pathlib.Path(measures.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "roof" not in imported
+    for name in ("_eig2_descending", "_tee_values", "_concurrence_values"):
+        assert getattr(measures, name).__module__ == "tsallisq.measures"

@@ -15,22 +15,26 @@ from tsallisq import (
     example3_residual,
     example4_residual,
     example5_residual,
+    generalized_w,
     ghz,
     hierarchical_check,
     indicator,
     random_pure_state,
+    tee_pure,
     tee_sq_residual,
     w_indicator_closed_form,
     w_state,
 )
 from tsallisq.analysis import find_root_q
-from tsallisq.monogamy import random_biseparable_mixture
+from tsallisq.monogamy import _gw_indicator, random_biseparable_mixture
 
 # roots of the two example residuals, frozen from high-precision solves
 EXAMPLE4_ROOT = 1.619194744390993
 EXAMPLE5_ROOT = 2.471370753410185
 # von Neumann limit of the closed-form W3 indicator
 W3_TAU_Q1 = 0.114425729109666
+# orders across the closed-form window, both sides of 1 and its edges
+WINDOW_QS = (0.75, 1.0, 2.0, 3.5, 4.25)
 
 
 # --- squared-TEE residual -------------------------------------------------------
@@ -181,10 +185,12 @@ def test_indicator_pure_w3(w3):
 
 
 def test_indicator_closed_form_w_family():
-    # the closed form covers any N; the residual route checks it state by state
+    # the closed form covers any N; the pure indicator checks it state by state
     for n in (3, 4, 5, 6):
-        got = tee_sq_residual(w_state(n), 0, 2.0).residual
-        assert got == pytest.approx(w_indicator_closed_form(n, 2.0), abs=1e-12)
+        for q in WINDOW_QS:
+            res = indicator(w_state(n), q, focus=n - 1)
+            assert res.upper_bound is False
+            assert res.value == pytest.approx(float(w_indicator_closed_form(n, q)), abs=1e-12)
 
 
 def test_indicator_closed_form_von_neumann(w3):
@@ -214,9 +220,49 @@ def test_indicator_biseparable_mixture_near_zero(quick_roof):
     assert abs(res.value) < 5e-3
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_indicator_pure_ghz_n_is_the_squared_focus_entropy(n):
+    # every pair marginal of GHZ_n is separable, so each pair term is 0
+    psi = ghz(n)
+    for q in WINDOW_QS:
+        for focus in (0, n - 1):
+            res = indicator(psi, q, focus=focus)
+            assert res.report.terms == (0.0,) * (n - 1)
+            assert res.value == np.square(tee_pure(psi, focus, q))
+
+
+def test_indicator_pure_random_n_qubit_states_nonnegative():
+    rng = np.random.default_rng(4242)
+    for n in (4, 5, 6):
+        for _ in range(4):
+            psi = random_pure_state((2,) * n, rng)
+            for q in WINDOW_QS:
+                for focus in range(n):
+                    assert indicator(psi, q, focus=focus).value >= -1e-12
+
+
+def test_gw_indicator_batch_is_the_scalar_indicator_bit_for_bit():
+    thetas = np.linspace(0.02, np.pi - 0.02, 13)
+    phis = np.linspace(0.0, 2.0 * np.pi, 25)
+    for q in WINDOW_QS:
+        for focus in (0, 1, 2):
+            batch = _gw_indicator(thetas[:, None], phis[None, :], q, focus)
+            scalar = [
+                [indicator(generalized_w(th, ph), q, focus=focus).value for ph in phis]
+                for th in thetas
+            ]
+            assert np.array_equal(batch, np.array(scalar)), (q, focus)
+
+
 def test_indicator_rejects_wrong_shapes(rng):
     with pytest.raises(PartitionError):
         indicator(random_pure_state((2, 2), rng), 2.0)
+    with pytest.raises(PartitionError):
+        indicator(random_pure_state((2, 3, 2), rng), 2.0)
+    # pure input takes N qubits, mixed input stays three-qubit
+    rho = DensityMatrix((2,) * 4, random_pure_state((2,) * 4, rng).to_density().matrix)
+    with pytest.raises(PartitionError, match=r"three qubits, got dims \(2, 2, 2, 2\)"):
+        indicator(rho, 2.0)
     with pytest.raises(TypeError):
         indicator(np.eye(8) / 8, 2.0)
     with pytest.raises(QRangeError):
@@ -242,9 +288,15 @@ def test_example3_values():
 
 
 def test_example3_broadcasts_over_q():
-    out = example3_residual(0.9, np.array([2.0, 3.0, 4.0]))
+    qs = np.array([2.0, 3.0, 4.0])
+    out = example3_residual(0.9, qs)
     assert out.shape == (3,)
     assert out[0] == pytest.approx(example3_residual(0.9, 2.0), abs=1e-15)
+    thetas = np.array([0.0, 0.3, 0.9, np.pi / 4])
+    grid = example3_residual(thetas[:, None], qs)
+    assert grid.shape == (4, 3)
+    for i, th in enumerate(thetas):
+        assert grid[i] == pytest.approx(example3_residual(float(th), qs), abs=1e-15)
 
 
 def test_example4_values():
