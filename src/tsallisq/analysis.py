@@ -249,118 +249,129 @@ def _fmt12(value: float) -> str:
     return format(v, ".12g")
 
 
-def _grid_csv(fh, labels, axes, values) -> None:
-    """CSV of values on the product of axes: a header, then one row
-    (*point, value) per point with values in row-major order.  Every number is
-    _fmt12; each coordinate is formatted once."""
-    points = itertools.product(*([_fmt12(v) for v in axis] for axis in axes))
-    fh.write(",".join((*labels, "value")) + "\n")
-    for point, v in zip(points, np.asarray(values).ravel()):
-        fh.write(f"{','.join(point)},{_fmt12(v)}\n")
-
-
 @dataclass(frozen=True)
 class DerivativeSample:
-    """One grid point of a curvature scan."""
+    """One grid point of a scan: its coordinates along the report's axes."""
 
     kind: str
-    x: float
-    q: float
+    point: tuple[float, ...]
     value: float
+
+
+_SIGN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SignScanReport:
+    """Values on the product of named axes, judged against a sign claim.
+
+    values has one dimension per axis.  claimed_sign is "nonnegative",
+    "nonpositive" or None (nothing is judged).  A value violates the claim
+    when it lies beyond +-tolerance on the wrong side of it; NaN always does.
+    The worst point is the grid's extreme on the wrong side, or its first NaN.
+    """
+
     kind: str
-    xlabel: str
-    xs: np.ndarray
-    qs: np.ndarray
+    labels: tuple[str, ...]
+    axes: tuple[np.ndarray, ...]
     values: np.ndarray
-    claimed_sign: str
-    tolerance: float
-    violations: tuple[DerivativeSample, ...] = field(default=())
-    min_value: float = math.nan
-    max_value: float = math.nan
-    min_abs_value: float = math.nan
+    claimed_sign: str | None
+    tolerance: float = _SIGN_TOL
+    violations: tuple[DerivativeSample, ...] = field(init=False)
+    min_value: float = field(init=False)
+    max_value: float = field(init=False)
+    min_abs_value: float = field(init=False)
+    _worst: DerivativeSample | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.claimed_sign not in (None, "nonnegative", "nonpositive"):
+            raise DomainError(
+                "claimed_sign must be 'nonnegative' or 'nonpositive', "
+                f"got {self.claimed_sign!r}"
+            )
+        axes = tuple(np.asarray(a, dtype=float).ravel() for a in self.axes)
+        if any(a.size == 0 for a in axes):
+            raise DomainError("scan grids must be nonempty")
+        values = np.asarray(self.values, dtype=float).reshape([a.size for a in axes])
+
+        def sample(index):
+            point = tuple(float(a[i]) for a, i in zip(axes, index))
+            return DerivativeSample(self.kind, point, float(values[index]))
+
+        violations, worst = (), None
+        if self.claimed_sign is not None:
+            low = self.claimed_sign == "nonnegative"
+            wrong = values < -self.tolerance if low else values > self.tolerance
+            violations = tuple(map(sample, zip(*np.nonzero(wrong | np.isnan(values)))))
+            # argmin and argmax return the first NaN when there is one
+            extreme = np.argmin(values) if low else np.argmax(values)
+            worst = sample(np.unravel_index(extreme, values.shape))
+        finite = np.abs(values[np.isfinite(values)])
+        derived = dict(
+            axes=axes,
+            values=values,
+            tolerance=float(self.tolerance),
+            violations=violations,
+            min_value=float(np.nanmin(values)),
+            max_value=float(np.nanmax(values)),
+            min_abs_value=float(finite.min()) if finite.size else math.nan,
+            _worst=worst,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_csv(self, fh) -> None:
-        """Write the full grid as CSV (x, q, value) with %.12g formatting."""
-        _grid_csv(fh, (self.xlabel, "q"), (self.xs, self.qs), self.values)
+        """Write the grid as CSV: a header, then one row (*point, value) per
+        point in row-major order.  Every number is %.12g with -0.0 folded to 0;
+        each coordinate is formatted once."""
+        points = itertools.product(*([_fmt12(v) for v in axis] for axis in self.axes))
+        fh.write(",".join((*self.labels, "value")) + "\n")
+        for point, v in zip(points, self.values.ravel()):
+            fh.write(f"{','.join(point)},{_fmt12(v)}\n")
 
     def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "claimed_sign": self.claimed_sign,
-            "tolerance": self.tolerance,
+        """The grid (first, last and count per axis) and its extremes; under a
+        claim also the verdict and the first ten violations."""
+        out = {
             "grid": {
-                self.xlabel: [float(self.xs[0]), float(self.xs[-1]), int(self.xs.size)],
-                "q": [float(self.qs[0]), float(self.qs[-1]), int(self.qs.size)],
+                label: [float(axis[0]), float(axis[-1]), int(axis.size)]
+                for label, axis in zip(self.labels, self.axes)
             },
             "min_value": self.min_value,
             "max_value": self.max_value,
-            "min_abs_value": self.min_abs_value,
-            "ok": self.ok,
-            "num_violations": len(self.violations),
-            "violations": [
-                {"kind": v.kind, self.xlabel: v.x, "q": v.q, "value": v.value}
-                for v in self.violations[:10]
-            ],
         }
-
-
-_SIGN_TOL = 1e-10
-
-
-def _sign_violations(values, claimed_sign, tolerance=_SIGN_TOL):
-    """Mask of values beyond +-tolerance on the wrong side of the claimed sign."""
-    return values < -tolerance if claimed_sign == "nonnegative" else values > tolerance
+        if self.claimed_sign is not None:
+            out.update(
+                kind=self.kind,
+                claimed_sign=self.claimed_sign,
+                tolerance=self.tolerance,
+                min_abs_value=self.min_abs_value,
+                ok=self.ok,
+                num_violations=len(self.violations),
+                violations=[
+                    {"kind": v.kind, **dict(zip(self.labels, v.point)), "value": v.value}
+                    for v in self.violations[:10]
+                ],
+            )
+        return out
 
 
 def scan_sign(kind, xs, qs, claimed_sign, tolerance=_SIGN_TOL) -> SignScanReport:
-    """Evaluate one curvature kind on the xs x qs grid and test a sign claim.
-
-    claimed_sign is "nonnegative" or "nonpositive"; values inside +-tolerance
-    never count as violations, NaN always does.
-    """
+    """Evaluate one curvature kind on the xs x qs grid and judge a sign claim
+    (see SignScanReport)."""
     if kind not in _SCAN_KINDS:
         raise DomainError(
             f"unknown scan kind {kind!r}; choose from {sorted(_SCAN_KINDS)}"
         )
-    if claimed_sign not in ("nonnegative", "nonpositive"):
-        raise DomainError(
-            f"claimed_sign must be 'nonnegative' or 'nonpositive', got {claimed_sign!r}"
-        )
     func, xlabel = _SCAN_KINDS[kind]
     xs = np.asarray(xs, dtype=float).ravel()
     qs = np.asarray(qs, dtype=float).ravel()
-    if xs.size == 0 or qs.size == 0:
-        raise DomainError("scan grids must be nonempty")
-    values = np.asarray(func(xs[:, None], qs[None, :]), dtype=float)
-
-    bad = _sign_violations(values, claimed_sign, tolerance) | np.isnan(values)
-    violations = tuple(
-        DerivativeSample(kind=kind, x=float(xs[i]), q=float(qs[j]), value=float(values[i, j]))
-        for i, j in zip(*np.nonzero(bad))
-    )
-    finite = values[np.isfinite(values)]
-    min_abs = float(np.min(np.abs(finite))) if finite.size else math.nan
-    return SignScanReport(
-        kind=kind,
-        xlabel=xlabel,
-        xs=xs,
-        qs=qs,
-        values=values,
-        claimed_sign=claimed_sign,
-        tolerance=float(tolerance),
-        violations=violations,
-        min_value=float(np.nanmin(values)),
-        max_value=float(np.nanmax(values)),
-        min_abs_value=min_abs,
-    )
+    values = func(xs[:, None], qs[None, :])
+    return SignScanReport(kind, (xlabel, "q"), (xs, qs), values, claimed_sign, tolerance)
 
 
 # --- elementary inequalities the monogamy proofs lean on ----------------------

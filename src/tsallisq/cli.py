@@ -22,9 +22,7 @@ import numpy as np
 
 from .analysis import (
     _SCAN_KINDS,
-    _SIGN_TOL,
-    _grid_csv,
-    _sign_violations,
+    SignScanReport,
     critical_q,
     curvature_limit_at_max_c,
     find_root_q,
@@ -216,6 +214,18 @@ def _roof_config(args) -> RoofConfig:
     return RoofConfig(restarts=args.restarts, seed=args.seed)
 
 
+def _roof_fields(roof, args) -> dict:
+    """--json record of a roof run: how its winning restart stopped, and the
+    restarts and seed that produced it."""
+    return {
+        "converged": roof.converged,
+        "iterations": roof.iterations,
+        "stop_reason": roof.stop_reason,
+        "restarts": args.restarts,
+        "seed": args.seed,
+    }
+
+
 # --- subcommands ------------------------------------------------------------------
 
 
@@ -260,15 +270,7 @@ def cmd_concurrence(args) -> int:
         return 0
     if state.num_sites == 2:
         roof = roof_concurrence(state, _roof_config(args), party=args.cut)
-        payload.update(
-            method="roof",
-            c=roof.value,
-            converged=roof.converged,
-            iterations=roof.iterations,
-            stop_reason=roof.stop_reason,
-            restarts=args.restarts,
-            seed=args.seed,
-        )
+        payload.update(method="roof", c=roof.value, **_roof_fields(roof, args))
         _emit(args, [f"{roof.value:.6g}"], payload)
         return 0
     raise DomainError(
@@ -304,8 +306,7 @@ def cmd_tee(args) -> int:
             value=value,
             exact=bool(qp.concave_regime),
             roof_concurrence=roof.value,
-            converged=roof.converged,
-            stop_reason=roof.stop_reason,
+            **_roof_fields(roof, args),
         )
         _emit(args, [f"{value:.6g}"], payload)
         return 0
@@ -376,9 +377,7 @@ def cmd_indicator(args) -> int:
         "upper_bound": result.upper_bound,
     }
     if result.roof is not None:
-        payload["converged"] = result.roof.converged
-        payload["iterations"] = result.roof.iterations
-        payload["stop_reason"] = result.roof.stop_reason
+        payload.update(_roof_fields(result.roof, args))
     line = f"{result.value:.6g}"
     if result.upper_bound:
         line += " (upper bound)"
@@ -406,8 +405,12 @@ def _single_q(args, subject: str) -> float:
     return parse_number(text)
 
 
-def _family_grid(args, subject: str, payload: dict):
-    """(axis labels, axes, values on the product of the axes) of a family scan."""
+def _scan_grid(args, subject: str, payload: dict):
+    """(axis labels, axes, values on the product of the axes) of one scan."""
+    if subject in _CURVATURE_SUBJECTS:
+        func, xlabel = _CURVATURE_SUBJECTS[subject]
+        xs, qs = (parse_range(_require(args, flag, subject)) for flag in ("--x", "--q"))
+        return (xlabel, "q"), (xs, qs), func(xs[:, None], qs[None, :])
     labels = {"gw-indicator": ("theta", "phi"), "example3": ("theta", "q")}.get(subject, ("q",))
     axes = [parse_range(_require(args, f"--{label}", subject)) for label in labels]
     if subject == "gw-indicator":
@@ -420,51 +423,25 @@ def _family_grid(args, subject: str, payload: dict):
         values = w_indicator_closed_form(args.n, axes[0])
     else:
         values = (example4_residual if subject == "example4" else example5_residual)(axes[0])
-    return labels, axes, np.asarray(values, dtype=float).ravel()
+    return labels, axes, values
 
 
 def cmd_scan(args) -> int:
     subject = args.subject
     payload: dict = {"command": "scan", "subject": subject, "csv": args.csv}
-    worst = ""
-    if subject in _CURVATURE_SUBJECTS:
-        func, xlabel = _CURVATURE_SUBJECTS[subject]
-        xs = parse_range(_require(args, "--x", subject))
-        qs = parse_range(_require(args, "--q", subject))
-        if args.sign:
-            report = scan_sign(subject, xs, qs, args.sign)
-            values, lo, hi = report.values, report.min_value, report.max_value
-            n_bad = len(report.violations)
-            payload.update(report.summary())
-        else:
-            values = np.asarray(func(xs[:, None], qs[None, :]), dtype=float)
-            lo, hi = float(np.nanmin(values)), float(np.nanmax(values))
-            grid = {
-                xlabel: [float(xs[0]), float(xs[-1]), int(xs.size)],
-                "q": [float(qs[0]), float(qs[-1]), int(qs.size)],
-            }
-            payload.update(grid=grid, min_value=lo, max_value=hi)
-        labels, axes, count = (xlabel, "q"), (xs, qs), f"{values.size} points"
-    else:
-        labels, axes, values = _family_grid(args, subject, payload)
-        lo, hi = float(values.min()), float(values.max())
-        payload.update(rows=values.size, min_value=lo, max_value=hi)
-        count = f"{values.size} rows"
-        if args.sign:
-            n_bad = int(np.count_nonzero(_sign_violations(values, args.sign)))
-            payload.update(sign=args.sign, violations=n_bad)
-            if n_bad:
-                i = int(np.argmin(values) if args.sign == "nonnegative" else np.argmax(values))
-                point = np.unravel_index(i, [axis.size for axis in axes])
-                coords = ", ".join(f"{axis[k]:.6g}" for axis, k in zip(axes, point))
-                worst = f"; worst {values[i]:.6g} at ({coords})"
-    human = [f"{subject}: {count}, min {lo:.6g}, max {hi:.6g}"]
+    report = SignScanReport(subject, *_scan_grid(args, subject, payload), args.sign)
+    payload.update(report.summary())
+    lo, hi = report.min_value, report.max_value
+    human = [f"{subject}: {report.values.size} points, min {lo:.6g}, max {hi:.6g}"]
     if args.sign:
-        status = f"{n_bad} violations" if n_bad else "ok"
-        human.append(f"claimed {args.sign}: {status} (tolerance {_SIGN_TOL:g}){worst}")
+        status, worst = "ok", ""
+        if report.violations:
+            status, at = f"{len(report.violations)} violations", report._worst
+            worst = f"; worst {at.value:.6g} at ({', '.join(f'{c:.6g}' for c in at.point)})"
+        human.append(f"claimed {args.sign}: {status} (tolerance {report.tolerance:g}){worst}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            _grid_csv(fh, labels, axes, values)
+            report.to_csv(fh)
         human.append(f"csv written to {args.csv}")
     _emit(args, human, payload)
     return 0
@@ -483,13 +460,14 @@ def _check(name: str, passed, detail: str) -> dict:
 
 
 def _sign_check(name: str, kind: str, xs, qs, sign: str) -> dict:
-    """scan_sign claim, reported by its extreme value on the claimed side."""
+    """scan_sign claim, reported by its worst value."""
     report = scan_sign(kind, xs, qs, sign)
-    side, value = ("min", report.min_value) if sign == "nonnegative" else ("max", report.max_value)
+    side = "min" if sign == "nonnegative" else "max"
     return _check(
         name,
         report.ok,
-        f"{side} {value:.3e} over {report.values.size} points, tol {_SIGN_TOL:g}",
+        f"{side} {report._worst.value:.3e} over {report.values.size} points, "
+        f"tol {report.tolerance:g}",
     )
 
 
@@ -516,15 +494,14 @@ def _root_checks(wording: str) -> list[dict]:
 
 def _fd_check(closed, power: int, xs, qs, note: str) -> dict:
     """Closed-form curvature against a central difference of f**power, with f the
-    squared-concurrence-to-TEE map; relative deviation, floored at 1e-4."""
-    worst = 0.0
+    squared-concurrence-to-TEE map, on the xs x qs grid; relative deviation,
+    floored at 1e-4."""
     h = 3e-4
-    for x in xs:
-        for q in qs:
-            f = lambda t: float(tee_from_concurrence_sq(t, q)) ** power
-            fd = (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
-            want = float(closed(x, q))
-            worst = max(worst, abs(fd - want) / max(abs(want), 1e-4))
+    x, q = np.asarray(xs)[:, None], np.asarray(qs)[None, :]
+    f = lambda t: tee_from_concurrence_sq(t, q) ** power
+    fd = (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
+    want = closed(x, q)
+    worst = float(np.max(np.abs(fd - want) / np.maximum(np.abs(want), 1e-4)))
     return _check(
         "finite-difference-agreement",
         worst <= 1e-4,
@@ -693,13 +670,14 @@ def _suite_examples(seed: int) -> list[dict]:
     checks = _root_checks("negative beyond")
     thetas = np.linspace(0.05, math.pi / 2.0 - 0.05, 24)
     qs = np.linspace(1.01, 4.30, 30)
-    grid = example3_residual(thetas[:, None], qs[None, :])
-    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    values = example3_residual(thetas[:, None], qs[None, :])
+    report = SignScanReport("example3", ("theta", "q"), (thetas, qs), values, "nonnegative", 1e-9)
+    (theta, q), worst = report._worst.point, report._worst.value
     checks.append(
         _check(
             "example3-grid-nonnegative",
-            grid[i, j] >= -1e-9,
-            f"min residual {grid[i, j]:.6g} at theta={thetas[i]:.4f}, q={qs[j]:.4f}",
+            report.ok,
+            f"min residual {worst:.6g} at theta={theta:.4f}, q={q:.4f}",
         )
     )
     phis = np.array([math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi])
@@ -727,13 +705,14 @@ def _suite_examples(seed: int) -> list[dict]:
     )
     # theta in {0, pi} with phi in {pi/2, 3pi/2} zeroes every amplitude, so
     # the grid stays slightly inside the theta interval
-    angles = np.linspace(0.02, math.pi - 0.02, 13)[:, None], np.linspace(0.0, 2.0 * math.pi, 25)
-    worst = _gw_indicator(*angles, 2.0).min()
+    thetas, phis = np.linspace(0.02, math.pi - 0.02, 13), np.linspace(0.0, 2.0 * math.pi, 25)
+    values = _gw_indicator(thetas[:, None], phis[None, :], 2.0)
+    report = SignScanReport("gw-indicator", ("theta", "phi"), (thetas, phis), values, "nonnegative", 1e-8)
     checks.append(
         _check(
             "gw-grid-nonnegative",
-            worst >= -1e-8,
-            f"min indicator {worst:.3e} on a 13x25 angle grid",
+            report.ok,
+            f"min indicator {report._worst.value:.3e} on a 13x25 angle grid",
         )
     )
     return checks

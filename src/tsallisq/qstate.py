@@ -53,6 +53,8 @@ class PureState:
             raise PartitionError(
                 f"dims {dims} need {total} amplitudes, got {amps.size}"
             )
+        if not np.isfinite(amps).all():
+            raise DomainError("state vector has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(f"state vector norm is {norm:.12g}, expected 1")
@@ -95,6 +97,8 @@ class DensityMatrix:
             raise PartitionError(
                 f"dims {dims} need a {total}x{total} matrix, got shape {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise DomainError("density matrix has non-finite entries")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > _HERM_TOL:
             raise DomainError(
@@ -298,6 +302,8 @@ def _pairs_to_complex(data, where: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise StateFormatError(f"{where}: entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")  # load_state names the file
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -349,8 +355,6 @@ def load_state(path: str):
             raise StateFormatError(
                 f"{path}: state norm is {norm:.9g}, beyond the 1e-6 repair slack"
             )
-        if norm == 0.0:
-            raise StateFormatError(f"{path}: amplitudes are all zero")
         try:
             return PureState(dims, amps / norm)
         except (DomainError, PartitionError) as exc:
@@ -373,8 +377,6 @@ def load_state(path: str):
         raise StateFormatError(
             f"{path}: matrix trace is {tr:.9g}, beyond the 1e-6 repair slack"
         )
-    if tr <= 0.0:
-        raise StateFormatError(f"{path}: matrix trace must be positive")
     try:
         return DensityMatrix(dims, mat / tr)
     except (DomainError, PartitionError) as exc:

@@ -170,11 +170,6 @@ def _ensemble_from_members(dims, phi: np.ndarray) -> Decomposition:
     return Decomposition(tuple(members))
 
 
-def _theta_mats(thetas: np.ndarray, m: int, r: int) -> np.ndarray:
-    n = thetas.shape[0]
-    return thetas[:, : m * r].reshape(n, m, r) + 1j * thetas[:, m * r :].reshape(n, m, r)
-
-
 def _member_terms(phi: np.ndarray, cost):
     """Ensemble terms t = w cost(phi / sqrt(w)) of a (..., dim) member stack
     and their gradients in phi (module docstring), from one cost call.
@@ -209,7 +204,7 @@ def _ensemble_gradient(mats, iso, b_mat, dphi) -> np.ndarray:
 
     where H = U + U^dagger, U = triu(W, 1) + diag(W) / 2, is the Hermitian
     matrix equal to W above the diagonal and to Re W on it.  Derivatives come
-    as d/dRe + i d/dIm, flattened to the real parameters (Re A, Im A).
+    as d/dRe + i d/dIm, one complex m x r matrix per A.
     """
 
     def dag(x):
@@ -222,8 +217,7 @@ def _ensemble_gradient(mats, iso, b_mat, dphi) -> np.ndarray:
     y = g - iso @ (u + dag(u))
     r_fac = np.triu(dag(iso) @ mats)
     # y R^-dagger, solved as R X = y^dagger with X the adjoint of the answer
-    grad = dag(np.linalg.solve(r_fac, dag(y))).reshape(len(mats), -1)
-    return np.concatenate([grad.real, grad.imag], axis=1)
+    return dag(np.linalg.solve(r_fac, dag(y)))
 
 
 def minimize_roof(
@@ -270,22 +264,17 @@ def minimize_roof(
     m = 2 * r  # ensemble size: enough for every optimal decomposition targeted here
 
     b_mat = np.sqrt(lam)[:, None] * basis.T  # (r, dim); transpose, never dagger
-    n_par = 2 * m * r
 
     n_restart = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
-    theta = np.empty((n_restart, n_par))
-    ident = np.zeros((m, r), dtype=complex)
-    ident[:r, :r] = np.eye(r)
-    theta[0] = np.concatenate([ident.real.ravel(), ident.imag.ravel()])
+    mats = np.zeros((n_restart, m, r), dtype=complex)
+    mats[0, :r, :r] = np.eye(r)
     if n_restart > 1:
         # one contiguous draw per restart keeps restart k's start independent
         # of how many restarts come after it
         draws = rng.standard_normal((n_restart - 1, 2, m, r))
-        theta[1:, : m * r] = draws[:, 0].reshape(n_restart - 1, m * r)
-        theta[1:, m * r :] = draws[:, 1].reshape(n_restart - 1, m * r)
+        mats[1:] = draws[:, 0] + 1j * draws[:, 1]
 
-    mats = _theta_mats(theta, m, r)
     iso = _phase_fixed_isometries(mats)
     terms, dphi = _member_terms(iso @ b_mat, cost)
     current = terms.sum(axis=1)
@@ -295,26 +284,24 @@ def minimize_roof(
     iters = np.zeros(n_restart, dtype=int)
     stopped = np.zeros(n_restart, dtype=bool)
     reason = np.full(n_restart, "cap", dtype=object)
-    active = ~stopped
     stop_at = -np.inf if floor is None else floor + cfg.tolerance
     at_floor = current.min() <= stop_at
 
     for _ in range(cfg.max_iterations):
-        if at_floor or not active.any():
+        if at_floor or stopped.all():
             break
-        idx = np.nonzero(active)[0]
-        cand = theta[idx] - alpha[idx, None] * grad[idx]
-        mats = _theta_mats(cand, m, r)
-        iso_cand = _phase_fixed_isometries(mats)
+        idx = np.nonzero(~stopped)[0]
+        cand = mats[idx] - alpha[idx, None, None] * grad[idx]
+        iso_cand = _phase_fixed_isometries(cand)
         terms, dphi = _member_terms(iso_cand @ b_mat, cost)
         f_cand = terms.sum(axis=1)
         gain = current[idx] - f_cand
         took = gain > _ACCEPT_SLACK
         acc = idx[took]
-        theta[acc] = cand[took]
+        mats[acc] = cand[took]
         current[acc] = f_cand[took]
         if acc.size:  # a rejected step keeps its point, and so its gradient
-            grad[acc] = _ensemble_gradient(mats[took], iso_cand[took], b_mat, dphi[took])
+            grad[acc] = _ensemble_gradient(cand[took], iso_cand[took], b_mat, dphi[took])
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[acc] *= 1.3
         rej = idx[~took]
@@ -324,20 +311,19 @@ def minimize_roof(
         at_floor = current.min() <= stop_at
         if at_floor:
             break
-        collapsed = active & (alpha < 1e-10)
-        settled = active & (streak >= 4)
+        collapsed = ~stopped & (alpha < 1e-10)
+        settled = ~stopped & (streak >= 4)
         reason[collapsed] = "step"
         reason[settled] = "tolerance"
         stopped |= collapsed | settled
-        active &= ~stopped
 
     if at_floor:
         # the rest of the batch is abandoned, not run to the cap
-        reason[active] = "floor"
-        stopped |= active
+        reason[~stopped] = "floor"
+        stopped[:] = True
 
     best = int(np.argmin(current))
-    iso_best = _phase_fixed_isometries(_theta_mats(theta[best : best + 1], m, r))[0]
+    iso_best = _phase_fixed_isometries(mats[best : best + 1])[0]
     decomposition = _ensemble_from_members(dims, iso_best @ b_mat)
     states = np.stack([p.amplitudes for _, p in decomposition.members])
     weights = np.array([w for w, _ in decomposition.members])

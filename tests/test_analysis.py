@@ -11,6 +11,7 @@ from tsallisq import (
     ANALYTIC_Q_MIN,
     ConvergenceError,
     DomainError,
+    SignScanReport,
     critical_q,
     curvature_limit_at_max_c,
     find_root_q,
@@ -262,6 +263,21 @@ def test_scan_sign_summary_keys():
     assert info["grid"] == {"c": [0.5, 0.5, 1], "q": [2.0, 2.0, 1]}
     assert info["kind"] == "tee-curvature-c"
     assert info["num_violations"] == 0
+
+
+def test_sign_report_counts_nan_and_names_the_worst_point():
+    axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    values = np.array([[0.0, -1.0, np.nan], [2.0, -3.0, -1e-11]])
+    report = SignScanReport("t", ("a", "b"), axes, values, "nonnegative")
+    assert [v.point for v in report.violations] == [(0.0, 1.0), (0.0, 2.0), (1.0, 1.0)]
+    # NaN always counts, and is the worst point when there is one
+    assert report._worst.point == (0.0, 2.0) and math.isnan(report._worst.value)
+    assert (report.min_value, report.max_value) == (-3.0, 2.0)
+    upper = SignScanReport("t", ("a", "b"), axes, np.nan_to_num(values), "nonpositive", 1.5)
+    assert [v.point for v in upper.violations] == [(1.0, 0.0)]
+    assert (upper._worst.point, upper._worst.value) == ((1.0, 0.0), 2.0)
+    unclaimed = SignScanReport("t", ("a", "b"), axes, values, None)
+    assert unclaimed.ok and set(unclaimed.summary()) == {"grid", "min_value", "max_value"}
 
 
 def test_scan_sign_unknown_kind():

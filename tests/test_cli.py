@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,9 @@ def test_indicator_upper_bound_marker(tmp_path, capsys, rng):
     assert out.endswith("(upper bound)")
 
 
+ROOF_KEYS = {"converged", "iterations", "stop_reason", "restarts", "seed"}
+
+
 def test_roof_json_reports_stop_reason(tmp_path, capsys):
     # separable qubit x ququart block: the roof stops at its floor of 0
     a = np.kron([1.0, 0.0], [0.0, 1.0, 0.0, 0.0])
@@ -139,9 +143,11 @@ def test_roof_json_reports_stop_reason(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "roof" and payload["stop_reason"] == "floor"
     assert payload["c"] <= 1e-7
+    assert ROOF_KEYS <= payload.keys() and payload["restarts"] == 4
     assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "roof-2xd" and payload["stop_reason"] == "floor"
+    assert ROOF_KEYS <= payload.keys() and payload["seed"] == 42
 
 
 def test_indicator_json_reports_stop_reason(tmp_path, capsys, rng):
@@ -153,6 +159,7 @@ def test_indicator_json_reports_stop_reason(tmp_path, capsys, rng):
     payload = json.loads(capsys.readouterr().out)
     assert payload["stop_reason"] == "floor" and payload["converged"]
     assert payload["upper_bound"] and payload["value"] <= 1e-7
+    assert ROOF_KEYS <= payload.keys() and payload["restarts"] == 4
 
 
 def test_state_writes_loadable_json(tmp_path):
@@ -209,7 +216,16 @@ def test_scan_csv_deterministic(tmp_path, capsys):
 def test_scan_sign_violation_reported_but_exit_zero(capsys):
     assert main(["scan", "tee-curvature", "--x", "0.5", "--q", "4.2", "--sign", "nonnegative"]) == 0
     out = capsys.readouterr().out
-    assert "violation" in out.lower()
+    assert "1 violations (tolerance 1e-10); worst -0.0996558 at (0.5, 4.2)" in out
+
+
+@pytest.mark.parametrize("sign", [[], ["--sign", "nonnegative"]])
+def test_scan_json_keys_match_across_subjects(capsys, sign):
+    keys = []
+    for grid in (["tee-curvature", "--x", "0:1:4", "--q", "2:3:2"], ["example4", "--q", "1.01:4.3:4"]):
+        assert main(["scan", *grid, *sign, "--json"]) == 0
+        keys.append(set(json.loads(capsys.readouterr().out)))
+    assert keys[0] == keys[1]
 
 
 def test_scan_family_csv(tmp_path, capsys):
@@ -351,6 +367,24 @@ def test_malformed_state_file(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["entropy", str(path), "--q", "2"]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dims": [2, 2], "amplitudes": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+        {"dims": [2, 2], "matrix": [[[math.nan, 0.0]] + [[0.0, 0.0]] * 3] + [[[0.0, 0.0]] * 4] * 3},
+    ],
+)
+def test_non_finite_state_file(tmp_path, capsys, payload):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tee", "--in", str(path), "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "entries must be finite" in captured.err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

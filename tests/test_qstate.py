@@ -71,6 +71,14 @@ def test_density_matrix_validation():
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims/shape mismatch
 
 
+def test_constructors_reject_non_finite_entries():
+    # NaN passes every "beyond tolerance" test, so it is refused up front
+    with pytest.raises(DomainError, match="non-finite"):
+        PureState((2,), np.array([np.nan, 1.0]))
+    with pytest.raises(DomainError, match="non-finite"):
+        DensityMatrix((2,), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_density_matrix_spectrum_descending():
     dm = DensityMatrix((2,), np.diag([0.3, 0.7]))
     assert np.allclose(dm.spectrum(), [0.7, 0.3])

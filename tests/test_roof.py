@@ -24,7 +24,6 @@ from tsallisq.roof import (
     _ensemble_gradient,
     _member_terms,
     _phase_fixed_isometries,
-    _theta_mats,
     concurrence_cost,
     decomposition_from_isometry,
     indicator_summand_cost,
@@ -374,6 +373,12 @@ def _weighted_eigenvectors(rho):
 _STEP = 1e-6
 
 
+def _theta_mats(thetas, m, r):
+    # the real parametrization (Re A, Im A) of a stack of m x r matrices A
+    n = thetas.shape[0]
+    return thetas[:, : m * r].reshape(n, m, r) + 1j * thetas[:, m * r :].reshape(n, m, r)
+
+
 def _theta_differences(rho, cost, thetas):
     # reference route: central differences of the whole-ensemble value over
     # every real parameter of the unconstrained matrix
@@ -393,7 +398,9 @@ def _member_gradient(rho, cost, thetas):
     r, b_mat = _weighted_eigenvectors(rho)
     mats = _theta_mats(thetas, 2 * r, r)
     iso = _phase_fixed_isometries(mats)
-    return _ensemble_gradient(mats, iso, b_mat, _member_terms(iso @ b_mat, cost)[1])
+    grad = _ensemble_gradient(mats, iso, b_mat, _member_terms(iso @ b_mat, cost)[1])
+    flat = grad.reshape(len(thetas), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
 
 
 @pytest.mark.parametrize(
