@@ -34,6 +34,7 @@ from .analysis import (
     tee_sq_curvature,
 )
 from .errors import DomainError, StateFormatError
+from .linalg import _check_party
 from .measures import (
     ANALYTIC_Q_MAX,
     ANALYTIC_Q_MIN,
@@ -257,6 +258,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_concurrence(args) -> int:
     state = resolve_state(args.state, args.infile)
+    _check_party(state.dims, args.cut)
     payload: dict = {"command": "concurrence", "cut": args.cut}
     if isinstance(state, PureState):
         c = concurrence_pure(state, args.cut)
@@ -282,6 +284,7 @@ def cmd_tee(args) -> int:
     state = resolve_state(args.state, args.infile)
     q = parse_number(args.q)
     qp = as_q(q)
+    _check_party(state.dims, args.cut)
     payload: dict = {"command": "tee", "q": q, "cut": args.cut}
     if isinstance(state, PureState):
         value = tee_pure(state, args.cut, qp)

@@ -73,6 +73,26 @@ def _bipartition(vecs: np.ndarray, dims, keep) -> np.ndarray:
     return tensor.reshape(lead + (math.prod(dims[i] for i in keep), -1))
 
 
+def _check_party(dims, party) -> int:
+    """party as an int, once it names one side of a party|rest cut of dims."""
+    party, n = int(party), len(dims)
+    if party < 0 or party >= n:
+        raise PartitionError(f"party {party} out of range for {n} subsystems")
+    if n < 2:
+        raise PartitionError("a cut needs at least two subsystems")
+    return party
+
+
+def _check_keep(dims, keep) -> list[int]:
+    """keep as sorted distinct ints, once it names at least one factor of dims."""
+    keep_set = sorted(set(int(k) for k in keep))
+    if not keep_set:
+        raise PartitionError("keep must name at least one subsystem")
+    if keep_set[0] < 0 or keep_set[-1] >= len(dims):
+        raise PartitionError(f"keep {keep_set} out of range for {len(dims)} subsystems")
+    return keep_set
+
+
 def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every tensor factor not listed in keep.
 
@@ -91,12 +111,8 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
         raise PartitionError(
             f"dims {dims} multiply to {total}, but matrix has side {mat.shape[0]}"
         )
-    keep_set = sorted(set(int(k) for k in keep))
+    keep_set = _check_keep(dims, keep)
     n = len(dims)
-    if not keep_set:
-        raise PartitionError("keep must name at least one subsystem")
-    if keep_set[0] < 0 or keep_set[-1] >= n:
-        raise PartitionError(f"keep {keep} out of range for {n} subsystems")
     if len(keep_set) == n:
         return np.asarray(mat, dtype=complex).copy()
 

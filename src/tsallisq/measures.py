@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QRangeError
-from .linalg import _bipartition, _sq_norms, hermitian_eigenvalues
+from .errors import DomainError, PartitionError, QRangeError
+from .linalg import _bipartition, _check_party, _sq_norms
 from .qstate import DensityMatrix, PureState
 
 # closed-form two-qubit window: roots of q^2 - 5q + 3
@@ -213,6 +213,26 @@ def as_q(q) -> QParam:
     return QParam(float(q))
 
 
+def _window_q(q) -> QParam:
+    """q as a QParam, once it sits in the window where pair terms are exact."""
+    qp = as_q(q)
+    if not qp.analytic_two_qubit:
+        raise QRangeError(f"q={qp.q:.12g} is outside the window where pair terms are exact")
+    return qp
+
+
+def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
+    """The qubits other than focus, once dims is at least three qubits."""
+    if any(d != 2 for d in dims):
+        raise PartitionError(f"this check needs qubits throughout, got dims {dims}")
+    if len(dims) < 3:
+        raise PartitionError("monogamy needs at least three parties")
+    focus = int(focus)
+    if focus < 0 or focus >= len(dims):
+        raise DomainError(f"focus {focus} out of range for {len(dims)} qubits")
+    return tuple(j for j in range(len(dims)) if j != focus)
+
+
 @dataclass(frozen=True)
 class ConcurrenceValue:
     """Concurrence plus, when it came from the two-qubit formula, the four
@@ -231,11 +251,10 @@ class TeeEstimate:
 def tsallis_entropy(rho, q) -> float:
     """Tsallis-q entropy (1 - Tr rho^q)/(q - 1); natural-log von Neumann at q = 1."""
     qp = as_q(q)
-    if isinstance(rho, DensityMatrix):
-        spec = rho.spectrum()
-    else:
-        spec = hermitian_eigenvalues(np.asarray(rho))
-    return float(_tsallis_sum(spec, qp.q))
+    if not isinstance(rho, DensityMatrix):
+        rho = np.asarray(rho, dtype=complex)
+        rho = DensityMatrix(rho.shape[:1], rho)
+    return float(_tsallis_sum(rho.spectrum(), qp.q))
 
 
 def binary_entropy(p: float) -> float:
@@ -281,11 +300,7 @@ def concurrence_pure(psi: PureState, party: int = 0) -> float:
 
     Clamped to the ceiling sqrt(2(d-1)/d) set by the smaller side dimension d.
     """
-    party = int(party)
-    if party < 0 or party >= psi.num_sites:
-        raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
-    if min(psi.dims[party], psi.dim // psi.dims[party]) < 2:
-        raise DomainError("concurrence needs both sides of the cut to be nontrivial")
+    party = _check_party(psi.dims, party)
     return float(_concurrence_values(psi.amplitudes[None], psi.dims, party)[0][0])
 
 
@@ -314,11 +329,7 @@ def ef_two_qubit(rho: DensityMatrix) -> float:
 def tee_pure(psi: PureState, party: int, q) -> float:
     """Tsallis-q entanglement of a pure state across the party/rest cut."""
     qp = as_q(q)
-    party = int(party)
-    if party < 0 or party >= psi.num_sites:
-        raise DomainError(f"party {party} out of range for {psi.num_sites} subsystems")
-    if psi.num_sites < 2:
-        raise DomainError("a pure-state cut needs at least two subsystems")
+    party = _check_party(psi.dims, party)
     return float(_tee_values(psi.amplitudes[None], psi.dims, party, qp.q)[0][0])
 
 

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PartitionError, QRangeError
+from .errors import DomainError, QRangeError
 from .linalg import _bipartition
 from .measures import (
     QParam,
     _check_q,
     _pair_concurrence_sq,
+    _qubit_partners,
     _tee_values,
+    _window_q,
     as_q,
     concurrence_pure,
     tee_2xd,
@@ -91,24 +93,6 @@ def _build_report(q, lhs, terms, partners, tolerance) -> MonogamyReport:
         tolerance=float(tolerance),
         partners=tuple(partners),
     )
-
-
-def _window_q(q) -> QParam:
-    qp = as_q(q)
-    if not qp.analytic_two_qubit:
-        raise QRangeError(f"q={qp.q:.12g} is outside the window where pair terms are exact")
-    return qp
-
-
-def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
-    if any(d != 2 for d in dims):
-        raise PartitionError(f"this check needs qubits throughout, got dims {dims}")
-    if len(dims) < 3:
-        raise PartitionError("monogamy needs at least three parties")
-    focus = int(focus)
-    if focus < 0 or focus >= len(dims):
-        raise DomainError(f"focus {focus} out of range for {len(dims)} qubits")
-    return tuple(j for j in range(len(dims)) if j != focus)
 
 
 def _power_rows(vecs, dims, focus: int, partners, alpha: float, q: float):
@@ -210,8 +194,6 @@ def indicator(
         report = tee_sq_residual(state, focus, qp)
         return IndicatorResult(value=report.residual, upper_bound=False, report=report)
     if isinstance(state, DensityMatrix):
-        if state.dims != (2, 2, 2):
-            raise PartitionError(f"indicator needs three qubits, got dims {state.dims}")
         # inside the analytic window the pure-state summand is the squared
         # monogamy residual, which is nonnegative, so 0 is a proven floor
         roof = minimize_roof(

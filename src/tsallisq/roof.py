@@ -39,13 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _sq_norms
+from .linalg import _bipartition, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _concurrence_values,
     _qlog,
+    _qubit_partners,
     _tau_residual,
     _tee_values,
+    _window_q,
+    as_q,
     tee_from_concurrence_sq,
 )
 from .qstate import Decomposition, DensityMatrix, PureState
@@ -340,13 +343,6 @@ def minimize_roof(
 # --- pure-state cost factories: values from measures, gradients here ---------
 
 
-def _check_party(dims, party):
-    dims, party = tuple(int(d) for d in dims), int(party)
-    if party < 0 or party >= len(dims):
-        raise DomainError(f"party {party} out of range for dims {dims}")
-    return dims, party
-
-
 def _to_states(grad_mats: np.ndarray, dims, keep) -> np.ndarray:
     """Undo _bipartition on a stack of gradients in the (d_keep, d_rest) matrices."""
     order = _bipartition(np.arange(math.prod(dims)), dims, keep).ravel()
@@ -362,8 +358,8 @@ def tee_cost(dims, party: int, q: float):
     nothing (u^dagger M = 0 there).  A qubit party takes ln_q(sigma) M as
     L1 M + D (sigma - l1) M, D = (L1 - L2)/(l1 - l2), and sigma = l1 if l1 = l2.
     """
-    dims, party = _check_party(dims, party)
-    q = float(q)
+    dims = tuple(int(d) for d in dims)
+    party, q = _check_party(dims, party), as_q(q).q
 
     def cost(states: np.ndarray):
         values, mat, gram, spec, vecs = _tee_values(states, dims, party, q, vectors=True)
@@ -385,7 +381,8 @@ def concurrence_cost(dims, party: int):
 
     The gradient is -4 sigma M / c, and 0 at the cone's tip c = 0.
     """
-    dims, party = _check_party(dims, party)
+    dims = tuple(int(d) for d in dims)
+    party = _check_party(dims, party)
 
     def cost(states: np.ndarray):
         c, mat, gram = _concurrence_values(states, dims, party)
@@ -408,12 +405,9 @@ def indicator_summand_cost(dims, focus: int, q: float):
     """
     dims = tuple(int(d) for d in dims)
     if dims != (2, 2, 2):
-        raise DomainError(f"indicator summand needs three qubits, got dims {dims}")
-    focus = int(focus)
-    if focus not in (0, 1, 2):
-        raise DomainError(f"focus {focus} out of range for three qubits")
-    q = float(q)
-    pairs = [sorted((focus, j)) for j in range(3) if j != focus]
+        raise PartitionError(f"indicator needs three qubits, got dims {dims}")
+    q = _window_q(q).q
+    pairs = [sorted((int(focus), j)) for j in _qubit_partners(dims, focus)]
     focus_tee = tee_cost(dims, focus, q)
 
     def cost(states: np.ndarray):

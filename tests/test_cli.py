@@ -201,6 +201,33 @@ def test_mixed_tee_window_gate_and_force(tmp_path, capsys, rng):
     assert main(["tee", str(path), "--q", "9", "--force-q"]) == 0
 
 
+@pytest.mark.parametrize(
+    "verb,cut",
+    [(["tee", "--q", "2"], "9"), (["concurrence"], "-3")],
+)
+def test_mixed_cut_out_of_range_is_refused(tmp_path, capsys, rng, verb, cut):
+    # the Wootters and closed-form paths never use the cut, but it is checked
+    # as on the pure path
+    path = tmp_path / "rho22.json"
+    save_state(DensityMatrix((2, 2), random_pure_state((2, 2), rng).to_density().matrix), path)
+    assert main([verb[0], "--in", str(path), *verb[1:], "--cut", cut, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: party {cut} out of range for 2 subsystems\n"
+    assert captured.out == ""
+
+
+def test_load_refuses_hermiticity_beyond_constructor_slack(tmp_path, capsys):
+    # one Hermiticity tolerance, the constructor's 1e-10: 5e-9 is refused
+    mat = np.eye(4) / 4
+    mat[0, 1] = 5e-9
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"dims": [2, 2], "matrix": np.stack([mat, 0 * mat], -1).tolist()}))
+    assert main(["entropy", "--in", str(path), "--q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: density matrix is not Hermitian (max deviation 5.000e-09)\n"
+    assert captured.out == ""
+
+
 def test_scan_csv_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "tee-sq-curvature", "--x", "0:1:5", "--q", "1.2:3.8:7"]

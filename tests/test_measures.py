@@ -85,6 +85,21 @@ def test_tsallis_entropy_accepts_density_matrix():
     assert tsallis_entropy(dm, 2.0) == pytest.approx(direct, abs=0)
 
 
+def test_tsallis_entropy_refuses_a_bare_matrix_that_is_not_a_state():
+    # a bare matrix is read as a one-party DensityMatrix, with its checks
+    with pytest.raises(DomainError, match="trace is 2, expected 1"):
+        tsallis_entropy(np.eye(2), 2.0)
+    with pytest.raises(DomainError, match="negative eigenvalue"):
+        tsallis_entropy(np.diag([1.5, -0.5]), 2.0)
+
+
+def test_cut_costs_refuse_a_single_site():
+    # a party|rest cut needs a rest, as tee_pure and concurrence_pure say
+    for factory in (lambda: tee_cost((4,), 0, 2.0), lambda: concurrence_cost((4,), 0)):
+        with pytest.raises(DomainError, match="a cut needs at least two subsystems"):
+            factory()
+
+
 def test_binary_entropy_extremes():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

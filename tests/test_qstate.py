@@ -165,6 +165,11 @@ def test_save_load_mixed_roundtrip(tmp_path, rng):
     back = load_state(path)
     assert isinstance(back, DensityMatrix)
     assert np.allclose(back.matrix, dm.matrix, atol=1e-12)
+    # the file holds the stored matrix bit for bit (deviation from
+    # Hermiticity 0), and the reload is it divided by its trace, bit for bit
+    pairs = np.array(json.loads(path.read_text())["matrix"])
+    assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], dm.matrix)
+    assert np.array_equal(back.matrix, dm.matrix / dm.matrix.trace().real)
 
 
 def test_load_reports_json_position(tmp_path):
@@ -198,6 +203,39 @@ def test_load_rejects_large_norm_drift(tmp_path):
     )
     with pytest.raises(StateFormatError):
         load_state(path)
+
+
+def test_load_names_the_file_once_for_bad_pairs(tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({"dims": [2], "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+    with pytest.raises(StateFormatError) as info:
+        load_state(path)
+    assert str(info.value) == f"{path}: malformed amplitudes: entries must be [re, im] pairs"
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (
+            {"dims": [2, 2], "amplitudes": [[0.8, 0], [0, 0], [0, 0], [0.8, 0]]},
+            "state vector norm is 1.1313708499, expected 1",
+        ),
+        ({"dims": [2, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}, "dims (2, 2) need a 4x4 matrix"),
+        (
+            {"dims": [2], "matrix": [[[0.5, 0], [0.1, 0]], [[0, 0], [0.5, 0]]]},
+            "density matrix is not Hermitian (max deviation 1.000e-01)",
+        ),
+        ({"dims": [2], "matrix": [[[2, 0], [0, 0]], [[0, 0], [0, 0]]]}, "density matrix trace is 2, expected 1"),
+    ],
+)
+def test_load_values_are_judged_by_the_constructors(tmp_path, payload, message):
+    # load_state checks only the format; a value the constructor refuses is
+    # refused with the constructor's message, after the file name
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateFormatError) as info:
+        load_state(path)
+    assert str(info.value).startswith(f"{path}: {message}")
 
 
 @pytest.mark.parametrize("dims", [[2.9, 2], ["2", 2], [True, 2, 2]])

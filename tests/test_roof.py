@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tsallisq import (
     PartitionError,
     PureState,
     RoofConfig,
+    concurrence_pure,
     concurrence_two_qubit,
     ghz,
     indicator,
@@ -14,6 +17,7 @@ from tsallisq import (
     random_biseparable_mixture,
     random_pure_state,
     roof_concurrence,
+    tee_pure,
     tee_two_qubit,
     w_state,
 )
@@ -190,6 +194,33 @@ def test_cost_factories_reject_bad_party():
         tee_cost((2, 2), 2, 2.0)
     with pytest.raises(DomainError):
         indicator_summand_cost((2, 3, 2), 0, 2.0)
+
+
+_TWINS = {
+    "tee": (tee_pure, tee_cost),
+    "concurrence": (lambda psi, party, q: concurrence_pure(psi, party), lambda dims, party, q: concurrence_cost(dims, party)),
+    "indicator": (lambda psi, party, q: indicator(psi.to_density(), q, focus=party), indicator_summand_cost),
+}
+_BAD_Q = [(0, q) for q in (0.0, -1.0, math.nan, math.inf)]
+_BAD_PARTY = [(3, 2.0), (-1, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "name,party,q",
+    [("tee", p, q) for p, q in _BAD_Q + _BAD_PARTY]
+    + [("concurrence", p, q) for p, q in _BAD_PARTY]
+    + [("indicator", p, q) for p, q in _BAD_Q + _BAD_PARTY + [(0, 5.0)]],
+)
+def test_cost_factories_refuse_what_their_scalar_twins_refuse(name, party, q):
+    # a roof cost takes the same order and cut checks as the scalar call it
+    # averages; the indicator's pair terms need q inside the analytic window
+    scalar, factory = _TWINS[name]
+    psi = w_state(3)
+    with pytest.raises(DomainError) as want:
+        scalar(psi, party, q)
+    with pytest.raises(DomainError) as got:
+        factory(psi.dims, party, q)
+    assert got.type is want.type
 
 
 # --- certified floor stop ----------------------------------------------------
