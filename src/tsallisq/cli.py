@@ -216,12 +216,14 @@ def _roof_config(args) -> RoofConfig:
 
 
 def _roof_fields(roof, args) -> dict:
-    """--json record of a roof run: how its winning restart stopped, and the
-    restarts and seed that produced it."""
+    """--json record of a roof run: its bracket [lower, value] and gap, how
+    its winning restart stopped, and the restarts and seed that produced it."""
     return {
         "converged": roof.converged,
         "iterations": roof.iterations,
         "stop_reason": roof.stop_reason,
+        "lower": roof.lower,
+        "gap": roof.gap,
         "restarts": args.restarts,
         "seed": args.seed,
     }

@@ -310,8 +310,8 @@ def load_state(path: str):
 
     The file must carry "dims" (JSON integers) plus either "amplitudes"
     (vector of [re, im] pairs) or "matrix" (array of rows of [re, im] pairs).
-    A norm or trace within 1e-6 of 1 is divided out; every other check on the
-    values is the constructor's, and its refusal names the file.
+    A norm or trace within 1e-6 of 1 but beyond the constructor's slack is
+    divided out; every other value check is the constructor's, naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -345,7 +345,8 @@ def load_state(path: str):
     if not pure and arr.ndim != 2:
         raise StateFormatError(f"{path}: matrix must be a list of rows, got shape {arr.shape}")
     scale = float(np.linalg.norm(arr)) if pure else float(arr.trace().real)
-    if abs(scale - 1.0) <= 1e-6:
+    # a scale the constructor accepts stays, so what save_state wrote reloads bit for bit
+    if (_NORM_TOL if pure else _TRACE_TOL) < abs(scale - 1.0) <= 1e-6:
         arr = arr / scale
     try:
         return PureState(dims, arr) if pure else DensityMatrix(dims, arr)

@@ -42,6 +42,7 @@ from .errors import DomainError, PartitionError
 from .linalg import _bipartition, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
+    _caf_bound,
     _concurrence_values,
     _qlog,
     _qubit_partners,
@@ -49,6 +50,7 @@ from .measures import (
     _tee_values,
     _window_q,
     as_q,
+    concurrence_two_qubit,
     tee_from_concurrence_sq,
 )
 from .qstate import Decomposition, DensityMatrix, PureState
@@ -86,16 +88,17 @@ class RoofConfig:
 
 @dataclass(frozen=True)
 class RoofResult:
-    """Outcome of a roof minimization.
+    """Outcome of a roof minimization: the bracket [lower, value] on the roof.
 
     value is recomputed from the returned decomposition, so it always matches
-    it; converged reports whether the restart that won actually met a stop
-    rule rather than the iteration cap, and iterations is that restart's own
-    count.  stop_reason names the rule that ended the winning restart:
-    "floor" (within tolerance of the caller's proven lower bound),
-    "tolerance" (four accepted steps each gaining less than tolerance),
-    "step" (step size collapsed below 1e-10), "cap" (max_iterations reached)
-    or "exact" (rank-1 input, nothing to optimize).
+    it and is a genuine upper bound; lower is the floor the caller proved (or
+    None), and gap = value - lower.  converged reports whether the restart
+    that won actually met a stop rule rather than the iteration cap, and
+    iterations is that restart's own count.  stop_reason names the rule that
+    ended the winning restart: "floor" (within tolerance of lower, so the gap
+    certifies the value), "tolerance" (four accepted steps each gaining less
+    than tolerance), "step" (step size collapsed below 1e-10), "cap"
+    (max_iterations reached) or "exact" (rank-1 input, nothing to optimize).
     """
 
     value: float
@@ -103,6 +106,11 @@ class RoofResult:
     converged: bool
     iterations: int
     stop_reason: str
+    lower: float | None = None
+
+    @property
+    def gap(self) -> float | None:
+        return None if self.lower is None else self.value - self.lower
 
 
 def _eigenbasis(rho: DensityMatrix):
@@ -262,6 +270,7 @@ def minimize_roof(
             converged=True,
             iterations=0,
             stop_reason="exact",
+            lower=floor,
         )
 
     m = 2 * r  # ensemble size: enough for every optimal decomposition targeted here
@@ -337,6 +346,7 @@ def minimize_roof(
         converged=bool(stopped[best]),
         iterations=int(iters[best]),
         stop_reason=str(reason[best]),
+        lower=floor,
     )
 
 
@@ -379,14 +389,15 @@ def tee_cost(dims, party: int, q: float):
 def concurrence_cost(dims, party: int):
     """Pure-state generalized concurrence sqrt(2(1 - purity)), batched.
 
-    The gradient is -4 sigma M / c, and 0 at the cone's tip c = 0.
+    The gradient is -4 sigma M / c, and 0 at the cone's tip c <= 1e-14,
+    where c is the minors' rounding and the quotient would be noise.
     """
     dims = tuple(int(d) for d in dims)
     party = _check_party(dims, party)
 
     def cost(states: np.ndarray):
         c, mat, gram = _concurrence_values(states, dims, party)
-        grad = -4.0 * (gram @ mat) / np.where(c > 0.0, c, np.inf)[:, None, None]
+        grad = -4.0 * (gram @ mat) / np.where(c > 1e-14, c, np.inf)[:, None, None]
         return c, _to_states(grad, dims, (party,))
 
     return cost
@@ -433,9 +444,16 @@ def indicator_summand_cost(dims, focus: int, q: float):
 def roof_concurrence(
     rho: DensityMatrix, config: RoofConfig | None = None, party: int = 0
 ) -> RoofResult:
-    """Convex-roof concurrence of a bipartite mixed state."""
+    """Convex-roof concurrence of a bipartite mixed state, stopped within
+    tolerance of its floor: Wootters at (2, 2), which is the roof itself, the
+    Chen-Albeverio-Fei bound for a qubit against a qudit, 0 otherwise."""
     if rho.num_sites != 2:
         raise PartitionError(
             f"roof concurrence expects a bipartite state, got dims {rho.dims}"
         )
-    return minimize_roof(rho, concurrence_cost(rho.dims, party), config, floor=0.0)
+    cost = concurrence_cost(rho.dims, party)
+    if rho.dims == (2, 2):
+        floor = concurrence_two_qubit(rho).c
+    else:
+        floor = _caf_bound(rho) if 2 in rho.dims else 0.0
+    return minimize_roof(rho, cost, config, floor=floor)

@@ -129,7 +129,7 @@ def test_indicator_upper_bound_marker(tmp_path, capsys, rng):
     assert out.endswith("(upper bound)")
 
 
-ROOF_KEYS = {"converged", "iterations", "stop_reason", "restarts", "seed"}
+ROOF_KEYS = {"converged", "iterations", "stop_reason", "lower", "gap", "restarts", "seed"}
 
 
 def test_roof_json_reports_stop_reason(tmp_path, capsys):
@@ -142,12 +142,30 @@ def test_roof_json_reports_stop_reason(tmp_path, capsys):
     assert main(["concurrence", str(path), "--restarts", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "roof" and payload["stop_reason"] == "floor"
-    assert payload["c"] <= 1e-7
+    assert payload["c"] <= 1e-7 and payload["lower"] == 0.0 and payload["gap"] == payload["c"]
     assert ROOF_KEYS <= payload.keys() and payload["restarts"] == 4
     assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "roof-2xd" and payload["stop_reason"] == "floor"
     assert ROOF_KEYS <= payload.keys() and payload["seed"] == 42
+
+
+def test_roof_json_reports_the_bracket(tmp_path, capsys):
+    # an entangled qubit x qutrit mixture: the Chen-Albeverio-Fei floor is
+    # positive and the roof concurrence sits above it
+    rng = np.random.default_rng(23)
+    mats = [random_pure_state((2, 3), rng).to_density().matrix for _ in range(2)]
+    path = tmp_path / "q23.json"
+    save_state(DensityMatrix((2, 3), 0.6 * mats[0] + 0.4 * mats[1]), path)
+    assert main(["concurrence", str(path), "--restarts", "4", "--json"]) == 0
+    conc = json.loads(capsys.readouterr().out)
+    assert conc["method"] == "roof" and ROOF_KEYS <= conc.keys()
+    assert 0.0 < conc["lower"] <= conc["c"] and conc["gap"] == conc["c"] - conc["lower"]
+    assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
+    tee = json.loads(capsys.readouterr().out)
+    assert tee["method"] == "roof-2xd" and ROOF_KEYS <= tee.keys()
+    assert tee["lower"] == conc["lower"] and tee["roof_concurrence"] == conc["c"]
+    assert tee["gap"] == tee["roof_concurrence"] - tee["lower"]
 
 
 def test_indicator_json_reports_stop_reason(tmp_path, capsys, rng):

@@ -29,7 +29,7 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
-from tsallisq.measures import _pair_concurrence_sq
+from tsallisq.measures import _caf_bound, _pair_concurrence_sq
 from tsallisq.roof import concurrence_cost, tee_cost
 
 LN2 = math.log(2.0)
@@ -61,6 +61,19 @@ def test_as_q_concave_regime_bands():
 def test_as_q_rejects(bad):
     with pytest.raises(QRangeError):
         as_q(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_scalar_and_array_q_routes_share_one_rule(bad):
+    # QParam (scalar) and _check_q (arrays, via the closed form) refuse the
+    # same orders with the same message; only the scalar one names the value
+    prefix = "entropic order must be finite and positive"
+    with pytest.raises(QRangeError) as scalar:
+        as_q(bad)
+    with pytest.raises(QRangeError) as array:
+        tee_from_concurrence_sq(np.full(3, 0.5), np.array([2.0, bad, 3.0]))
+    assert str(scalar.value) == f"{prefix}, got {float(bad)!r}"
+    assert str(array.value) == prefix
 
 
 # --- entropies ----------------------------------------------------------------
@@ -143,6 +156,59 @@ def test_concurrence_pure_qudit_ceiling():
     amps[[0, 4, 8]] = 1 / math.sqrt(3)
     psi = PureState((3, 3), amps)
     assert concurrence_pure(psi, 0) == pytest.approx(math.sqrt(4 / 3), abs=1e-12)
+
+
+_PRODUCT_CUTS = [((2, 4), 0), ((3, 3), 0), ((2, 2, 2), 1)]
+
+
+def _product_state(dims, party, rng):
+    # party's factor times a random state of the rest, reordered into place
+    rest = tuple(d for k, d in enumerate(dims) if k != party)
+    local = random_pure_state((dims[party],), rng).amplitudes
+    other = random_pure_state((int(np.prod(rest)),), rng).amplitudes.reshape(rest)
+    amps = np.moveaxis(np.multiply.outer(local, other), 0, party)
+    return PureState(dims, amps.ravel())
+
+
+def _purity_route(psi, party):
+    sigma = psi.reduced([party]).matrix
+    side = min(psi.dims[party], psi.dim // psi.dims[party])
+    purity = np.vdot(sigma, sigma).real
+    return math.sqrt(min(max(2.0 * (1.0 - purity), 0.0), 2.0 * (side - 1) / side))
+
+
+@pytest.mark.parametrize("dims,party", _PRODUCT_CUTS)
+def test_concurrence_pure_is_zero_on_product_states(dims, party):
+    # the 2x2-minor route leaves only rounding of the minors, where
+    # sqrt(2(1 - purity)) turned the purity's ~1e-16 into ~1e-8
+    rng = np.random.default_rng(sum(dims) + party)
+    worst = max(concurrence_pure(_product_state(dims, party, rng), party) for _ in range(200))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("dims,party", _PRODUCT_CUTS + [((2, 3), 1), ((4, 2, 2), 0)])
+def test_concurrence_pure_minors_match_purity_route(dims, party):
+    rng = np.random.default_rng(3 * sum(dims) + party)
+    for _ in range(50):
+        psi = random_pure_state(dims, rng)
+        assert abs(concurrence_pure(psi, party) - _purity_route(psi, party)) <= 1e-14
+
+
+def test_caf_bound_exact_on_pure_qubit_qudit_states():
+    rng = np.random.default_rng(40)
+    for dims in [(2, 3), (2, 4), (3, 2)] * 10:
+        psi = random_pure_state(dims, rng)
+        assert abs(_caf_bound(psi.to_density()) - concurrence_pure(psi)) <= 1e-12
+
+
+def test_caf_bound_vanishes_on_separable_mixtures():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        weights = rng.dirichlet(np.ones(3))
+        mat = sum(
+            w * _product_state((2, 4), 0, rng).to_density().matrix for w in weights
+        )
+        assert _caf_bound(DensityMatrix((2, 4), mat)) <= 1e-12
 
 
 def test_concurrence_two_qubit_rejects_other_dims():

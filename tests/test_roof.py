@@ -310,6 +310,87 @@ def test_mixed_indicator_stops_at_floor(rng):
     assert res.roof.stop_reason == "floor"
 
 
+# --- the bracket [lower, value] ----------------------------------------------
+
+
+def _criterion07_rank2_inputs():
+    # the ten rank-2 inputs of acceptance criterion 07, drawn the same way
+    rng = np.random.default_rng(707)
+    out = []
+    for _ in range(10):
+        a = random_pure_state((2, 2), rng)
+        b = random_pure_state((2, 2), rng)
+        w = rng.uniform(0.25, 0.75)
+        mat = w * a.to_density().matrix + (1 - w) * b.to_density().matrix
+        out.append(DensityMatrix((2, 2), mat))
+    return out
+
+
+def test_floor_free_optimizer_matches_wootters():
+    # criterion 07 now stops at the Wootters value it compares with; this run
+    # keeps the floor at 0, so only the optimizer itself can reach Wootters
+    cfg = RoofConfig(restarts=6, seed=3)
+    for rho in _criterion07_rank2_inputs():
+        res = minimize_roof(rho, concurrence_cost((2, 2), 0), cfg, floor=0.0)
+        assert res.stop_reason != "floor" and res.lower == 0.0
+        assert abs(res.value - concurrence_two_qubit(rho).c) <= 1e-4
+
+
+def test_two_qubit_roof_stops_at_wootters_floor():
+    cfg = RoofConfig(restarts=6, seed=3)
+    for rho in _criterion07_rank2_inputs():
+        res = roof_concurrence(rho, cfg)
+        assert res.stop_reason == "floor" and res.converged
+        assert res.lower == concurrence_two_qubit(rho).c
+        assert -1e-12 <= res.gap <= cfg.tolerance + 1e-12
+        assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+
+
+def test_rank4_two_qubit_bracket():
+    # uniformly random rank-4 mixtures: draws 0, 1, 4, 7 and 9 are separable
+    # and still stop on "tolerance" with gaps up to 1.35e-2, which the
+    # bracket reports rather than hides
+    rng = np.random.default_rng(2026)
+    cfg = RoofConfig(restarts=8, seed=1)
+    gaps = []
+    for _ in range(12):
+        v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = rng.random(4)
+        w /= w.sum()
+        rho = DensityMatrix((2, 2), np.einsum("k,ki,kj->ij", w, v, v.conj()))
+        res = roof_concurrence(rho, cfg)
+        wootters = concurrence_two_qubit(rho).c
+        assert res.lower == wootters and res.gap == res.value - wootters
+        assert res.gap >= -1e-12
+        assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+        gaps.append(res.gap)
+    assert max(gaps) > cfg.tolerance
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4)])
+def test_qubit_qudit_bracket_holds(dims):
+    # the capped runs stay upper bounds, so the bracket must hold for them too
+    rng = np.random.default_rng(dims[1])
+    cfg = RoofConfig(restarts=4, seed=2, max_iterations=300)
+    for k in range(8):
+        rho = _random_mixture(dims, 2 + k % 2, rng)
+        res = roof_concurrence(rho, cfg)
+        assert res.lower is not None and 0.0 <= res.lower <= res.value
+        assert res.gap == res.value - res.lower
+        assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+
+
+def test_bracket_fields_follow_the_floor(rng, bell):
+    rho = _rank2_mixture(rng)
+    plain = minimize_roof(rho, tee_cost((2, 2), 0, 2.0), RoofConfig(restarts=2, seed=3))
+    assert plain.lower is None and plain.gap is None
+    exact = roof_concurrence(bell.to_density())
+    assert exact.stop_reason == "exact" and exact.lower == pytest.approx(1.0, abs=1e-12)
+    mixed = indicator(random_biseparable_mixture(rng, members=2), 2.0, RoofConfig(restarts=4))
+    assert mixed.roof.lower == 0.0 and mixed.roof.gap == mixed.value
+
+
 # --- per-iteration kernels ---------------------------------------------------
 
 
