@@ -3,10 +3,11 @@
 Every decomposition of a rank-r density matrix into m >= r pure states is
 reachable from the eigendecomposition through an m x r isometry V, so the
 roof of a pure-state cost is a minimum over the isometry manifold.  The
-optimizer below parametrizes V by an unconstrained complex matrix A whose
-columns are orthonormalized by two-pass Gram-Schmidt (the QR factor with a
-positive real R diagonal, a smooth map), and runs several independently
-seeded restarts of gradient descent in one vectorized batch.  A cost maps a
+optimizer below keeps each iterate on it: a step moves V against the gradient
+and maps the result back by two-pass Gram-Schmidt (the QR factor with a
+positive real R diagonal), the QR retraction of Absil, Mahony & Sepulchre
+(Optimization Algorithms on Matrix Manifolds, 2008, sec. 4.1); several
+independently seeded restarts run in one vectorized batch.  A cost maps a
 (batch, dim) array of normalized state vectors to (values, grads): the
 (batch,) values and the (batch, dim) gradients of the cost formula, as
 d/dRe + i d/dIm.  New roof quantities only need a new cost.
@@ -15,10 +16,11 @@ Member i of the ensemble is row i of phi = V B, with B the weighted
 eigenvectors, and contributes t = w f(phi_i / sqrt(w)), w = |phi_i|^2, which
 depends on phi_i alone.  With psi = phi_i / sqrt(w), the chain rule through
 the normalization, grad t = 2 f phi_i + sqrt(w) (grad f - Re<psi, grad f> psi),
-gives dF/dphi for every cost; G = (dF/dphi) B^dagger is the gradient in V,
-and the derivative of the Gram-Schmidt map pulls it back to A exactly (see
-_ensemble_gradient).  So one cost call per sweep, over the candidates of
-every running restart, yields their values and the gradients at the points
+gives dF/dphi for every cost; G = (dF/dphi) B^dagger is the gradient in V, and
+its pullback through Gram-Schmidt at an isometry, where R = I, is G - V H with
+H Hermitian (see _ensemble_gradient; Edelman, Arias & Smith, SIAM J. Matrix
+Anal. Appl. 20, 303 (1998)).  So one cost call per sweep, over the candidates
+of every running restart, yields their values and the gradients at the points
 it accepts; a rejected step keeps its point and its gradient.
 
 A caller that knows a proven lower bound of the roof of the input may pass it
@@ -185,50 +187,45 @@ def _member_terms(phi: np.ndarray, cost):
     """Ensemble terms t = w cost(phi / sqrt(w)) of a (..., dim) member stack
     and their gradients in phi (module docstring), from one cost call.
 
-    w = |phi|^2 is the member's weight; members below weight 1e-14 give 0.
+    w = |phi|^2 is the member's weight; members below weight 1e-14 give 0: they
+    are costed at a fixed unit vector and zeroed, so all rows share one body.
     """
     flat = phi.reshape(-1, phi.shape[-1])
     w = _sq_norms(flat)
-    safe = w > 1e-14
-    root = np.sqrt(w[safe])[:, None]
-    states = flat[safe] / root
+    live = w > 1e-14
+    root = np.sqrt(np.where(live, w, 1.0))[:, None]
+    states = np.where(live[:, None], flat, np.eye(1, flat.shape[1])) / root
     f, f_grad = cost(states)
+    f = f * live
     radial = np.einsum("ni,ni->n", states.conj(), f_grad).real[:, None]
-    terms = np.zeros(w.shape)
-    terms[safe] = w[safe] * f
-    grads = np.zeros(flat.shape, dtype=complex)
-    grads[safe] = 2.0 * f[:, None] * flat[safe] + root * (f_grad - radial * states)
+    terms = w * f
+    grads = 2.0 * f[:, None] * flat + (root * live[:, None]) * (f_grad - radial * states)
     return terms.reshape(phi.shape[:-1]), grads.reshape(phi.shape)
 
 
-def _ensemble_gradient(mats, iso, b_mat, dphi) -> np.ndarray:
-    """Gradient of the ensemble value over a stack of m x r matrices A.
+_HALF_UPPER = tuple(np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r) for r in range(_MAX_RANK + 1))
 
-    The value is sum_i t_i(phi_i) with phi = Q B, where
-    Q = _phase_fixed_isometries(A) is given as iso, B is b_mat and dphi holds
-    the member gradients dt_i/dphi_i.  G = dphi B^dagger is pulled back
-    exactly through A = QR, R upper triangular with a positive real diagonal:
-    with W = Q^dagger G,
 
-        dF/dA = [G - Q (W - tril(W - W^dagger, -1) - i Im diag W)] R^-dagger
-              = (G - Q H) R^-dagger,
+def _ensemble_gradient(iso, b_mat, dphi) -> np.ndarray:
+    """Gradient of the ensemble value at a stack of m x r isometries Q (iso).
+
+    The value is sum_i t_i(phi_i) with phi = GS(A) B, GS = _phase_fixed_isometries,
+    B = b_mat, and dphi holds the member gradients dt_i/dphi_i at A = Q, where
+    A = QR has R = I; with G = dphi B^dagger and W = Q^dagger G, the pullback is
+
+        dF/dA = G - Q (W - tril(W - W^dagger, -1) - i Im diag W) = G - Q H,
 
     where H = U + U^dagger, U = triu(W, 1) + diag(W) / 2, is the Hermitian
     matrix equal to W above the diagonal and to Re W on it.  Derivatives come
-    as d/dRe + i d/dIm, one complex m x r matrix per A.
+    as d/dRe + i d/dIm, one complex m x r matrix per Q.
     """
 
     def dag(x):
         return x.conj().swapaxes(-1, -2)
 
     g = dphi @ dag(b_mat)
-    r = iso.shape[-1]
-    upper = np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r)
-    u = (dag(iso) @ g) * upper
-    y = g - iso @ (u + dag(u))
-    r_fac = np.triu(dag(iso) @ mats)
-    # y R^-dagger, solved as R X = y^dagger with X the adjoint of the answer
-    return dag(np.linalg.solve(r_fac, dag(y)))
+    u = (dag(iso) @ g) * _HALF_UPPER[iso.shape[-1]]
+    return g - iso @ (u + dag(u))
 
 
 def minimize_roof(
@@ -279,18 +276,18 @@ def minimize_roof(
 
     n_restart = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
-    mats = np.zeros((n_restart, m, r), dtype=complex)
-    mats[0, :r, :r] = np.eye(r)
+    draws = np.zeros((n_restart, m, r), dtype=complex)
+    draws[0, :r, :r] = np.eye(r)
     if n_restart > 1:
         # one contiguous draw per restart keeps restart k's start independent
         # of how many restarts come after it
-        draws = rng.standard_normal((n_restart - 1, 2, m, r))
-        mats[1:] = draws[:, 0] + 1j * draws[:, 1]
+        normals = rng.standard_normal((n_restart - 1, 2, m, r))
+        draws[1:] = normals[:, 0] + 1j * normals[:, 1]
 
-    iso = _phase_fixed_isometries(mats)
-    terms, dphi = _member_terms(iso @ b_mat, cost)
+    mats = _phase_fixed_isometries(draws)
+    terms, dphi = _member_terms(mats @ b_mat, cost)
     current = terms.sum(axis=1)
-    grad = _ensemble_gradient(mats, iso, b_mat, dphi)
+    grad = _ensemble_gradient(mats, b_mat, dphi)
     alpha = np.full(n_restart, 0.25)
     streak = np.zeros(n_restart, dtype=int)
     iters = np.zeros(n_restart, dtype=int)
@@ -303,17 +300,16 @@ def minimize_roof(
         if at_floor or stopped.all():
             break
         idx = np.nonzero(~stopped)[0]
-        cand = mats[idx] - alpha[idx, None, None] * grad[idx]
-        iso_cand = _phase_fixed_isometries(cand)
+        iso_cand = _phase_fixed_isometries(mats[idx] - alpha[idx, None, None] * grad[idx])
         terms, dphi = _member_terms(iso_cand @ b_mat, cost)
         f_cand = terms.sum(axis=1)
         gain = current[idx] - f_cand
         took = gain > _ACCEPT_SLACK
         acc = idx[took]
-        mats[acc] = cand[took]
+        mats[acc] = iso_cand[took]
         current[acc] = f_cand[took]
         if acc.size:  # a rejected step keeps its point, and so its gradient
-            grad[acc] = _ensemble_gradient(cand[took], iso_cand[took], b_mat, dphi[took])
+            grad[acc] = _ensemble_gradient(mats[acc], b_mat, dphi[took])
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[acc] *= 1.3
         rej = idx[~took]
@@ -335,8 +331,7 @@ def minimize_roof(
         stopped[:] = True
 
     best = int(np.argmin(current))
-    iso_best = _phase_fixed_isometries(mats[best : best + 1])[0]
-    decomposition = _ensemble_from_members(dims, iso_best @ b_mat)
+    decomposition = _ensemble_from_members(dims, mats[best] @ b_mat)
     states = np.stack([p.amplitudes for _, p in decomposition.members])
     weights = np.array([w for w, _ in decomposition.members])
     value = float((weights * cost(states)[0]).sum())
@@ -353,12 +348,14 @@ def minimize_roof(
 # --- pure-state cost factories: values from measures, gradients here ---------
 
 
-def _to_states(grad_mats: np.ndarray, dims, keep) -> np.ndarray:
+def _state_order(dims, keep) -> np.ndarray:
+    """The gather that undoes _bipartition(., dims, keep), made once per cost."""
+    return np.argsort(_bipartition(np.arange(math.prod(dims)), dims, keep).ravel())
+
+
+def _to_states(grad_mats: np.ndarray, order) -> np.ndarray:
     """Undo _bipartition on a stack of gradients in the (d_keep, d_rest) matrices."""
-    order = _bipartition(np.arange(math.prod(dims)), dims, keep).ravel()
-    out = np.empty((len(grad_mats), order.size), dtype=complex)
-    out[:, order] = grad_mats.reshape(len(grad_mats), -1)
-    return out
+    return grad_mats.reshape(len(grad_mats), -1)[:, order]
 
 
 def tee_cost(dims, party: int, q: float):
@@ -370,6 +367,7 @@ def tee_cost(dims, party: int, q: float):
     """
     dims = tuple(int(d) for d in dims)
     party, q = _check_party(dims, party), as_q(q).q
+    order = _state_order(dims, (party,))
 
     def cost(states: np.ndarray):
         values, mat, gram, spec, vecs = _tee_values(states, dims, party, q, vectors=True)
@@ -381,7 +379,7 @@ def tee_cost(dims, party: int, q: float):
             top, gap = spec[:, :1, None], (spec[:, 0] - spec[:, 1])[:, None, None]
             slope = (logs[:, 0] - logs[:, 1])[:, None, None] / np.maximum(gap, _TINY)
             log_m = logs[:, :1, None] * mat + slope * (gram @ mat - top * mat)
-        return values, _to_states(-2.0 * q * log_m, dims, (party,))
+        return values, _to_states(-2.0 * q * log_m, order)
 
     return cost
 
@@ -394,11 +392,12 @@ def concurrence_cost(dims, party: int):
     """
     dims = tuple(int(d) for d in dims)
     party = _check_party(dims, party)
+    order = _state_order(dims, (party,))
 
     def cost(states: np.ndarray):
         c, mat, gram = _concurrence_values(states, dims, party)
         grad = -4.0 * (gram @ mat) / np.where(c > 1e-14, c, np.inf)[:, None, None]
-        return c, _to_states(grad, dims, (party,))
+        return c, _to_states(grad, order)
 
     return cost
 
@@ -420,6 +419,7 @@ def indicator_summand_cost(dims, focus: int, q: float):
     q = _window_q(q).q
     pairs = [sorted((int(focus), j)) for j in _qubit_partners(dims, focus)]
     focus_tee = tee_cost(dims, focus, q)
+    orders = [_state_order(dims, p) for p in pairs]
 
     def cost(states: np.ndarray):
         t, t_grad = focus_tee(states)
@@ -434,8 +434,8 @@ def indicator_summand_cost(dims, focus: int, q: float):
         e = tau - (phase * live)[..., None, None] * adj.conj()
         x_grad = (_FLIP_SIGN[:, None] * m[..., ::-1, :].conj()) @ e
         grads = 2.0 * t[:, None] * t_grad
-        for j, p in enumerate(pairs):
-            grads += _to_states(coef[:, j, None, None] * x_grad[:, j], dims, p)
+        for j, order in enumerate(orders):
+            grads += _to_states(coef[:, j, None, None] * x_grad[:, j], order)
         return t**2 - pair_tee[:, 0] ** 2 - pair_tee[:, 1] ** 2, grads
 
     return cost

@@ -313,24 +313,31 @@ def test_mixed_indicator_stops_at_floor(rng):
 # --- the bracket [lower, value] ----------------------------------------------
 
 
-def _criterion07_rank2_inputs():
-    # the ten rank-2 inputs of acceptance criterion 07, drawn the same way
+def _criterion07_inputs():
+    # the ten rank-2 and three full-rank inputs of acceptance criterion 07,
+    # drawn the same way
     rng = np.random.default_rng(707)
-    out = []
+    rank2 = []
     for _ in range(10):
         a = random_pure_state((2, 2), rng)
         b = random_pure_state((2, 2), rng)
         w = rng.uniform(0.25, 0.75)
         mat = w * a.to_density().matrix + (1 - w) * b.to_density().matrix
-        out.append(DensityMatrix((2, 2), mat))
-    return out
+        rank2.append(DensityMatrix((2, 2), mat))
+    bell = np.zeros((4, 4))
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    full = []
+    for _ in range(3):
+        mats = [random_pure_state((2, 2), rng).to_density().matrix for _ in range(3)]
+        full.append(DensityMatrix((2, 2), 0.55 * bell + 0.15 * sum(mats)))
+    return rank2, full
 
 
 def test_floor_free_optimizer_matches_wootters():
     # criterion 07 now stops at the Wootters value it compares with; this run
     # keeps the floor at 0, so only the optimizer itself can reach Wootters
     cfg = RoofConfig(restarts=6, seed=3)
-    for rho in _criterion07_rank2_inputs():
+    for rho in _criterion07_inputs()[0]:
         res = minimize_roof(rho, concurrence_cost((2, 2), 0), cfg, floor=0.0)
         assert res.stop_reason != "floor" and res.lower == 0.0
         assert abs(res.value - concurrence_two_qubit(rho).c) <= 1e-4
@@ -338,12 +345,30 @@ def test_floor_free_optimizer_matches_wootters():
 
 def test_two_qubit_roof_stops_at_wootters_floor():
     cfg = RoofConfig(restarts=6, seed=3)
-    for rho in _criterion07_rank2_inputs():
+    for rho in _criterion07_inputs()[0]:
         res = roof_concurrence(rho, cfg)
         assert res.stop_reason == "floor" and res.converged
         assert res.lower == concurrence_two_qubit(rho).c
         assert -1e-12 <= res.gap <= cfg.tolerance + 1e-12
         assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
+
+
+def test_full_rank_two_qubit_roofs_reach_the_wootters_floor():
+    # the four-small-gains stop must not end these before the floor
+    cfg = RoofConfig(restarts=8, seed=3)
+    for rho in _criterion07_inputs()[1]:
+        res = roof_concurrence(rho, cfg)
+        assert res.stop_reason == "floor" and res.converged
+        assert 0.0 <= res.gap <= cfg.tolerance + 1e-12
+
+
+@pytest.mark.parametrize("q", [2.0, 3.5])
+def test_floor_free_tee_roofs_match_closed_form(q):
+    # the closed form T_q = f_q(C^2) holds for (5 - sqrt 13)/2 <= q <= (5 + sqrt 13)/2
+    cfg = RoofConfig(restarts=6, seed=3)
+    for rho in _criterion07_inputs()[0]:
+        res = minimize_roof(rho, tee_cost((2, 2), 0, q), cfg)
+        assert abs(res.value - tee_two_qubit(rho, q)) <= 1e-8
 
 
 def test_rank4_two_qubit_bracket():
@@ -505,12 +530,18 @@ def _theta_differences(rho, cost, thetas):
     return np.stack([(value(t + bump) - value(t - bump)) / (2 * _STEP) for t in thetas])
 
 
+def _isometry_thetas(thetas, m, r):
+    # the optimizer keeps its iterate on the isometry, so both routes are
+    # taken at Q = GS(A), where the R of Q = QR is the identity
+    flat = _phase_fixed_isometries(_theta_mats(thetas, m, r)).reshape(len(thetas), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
 def _member_gradient(rho, cost, thetas):
-    # the optimizer's route: analytic member gradients pulled back to A
+    # the optimizer's route: analytic member gradients pulled back to Q
     r, b_mat = _weighted_eigenvectors(rho)
-    mats = _theta_mats(thetas, 2 * r, r)
-    iso = _phase_fixed_isometries(mats)
-    grad = _ensemble_gradient(mats, iso, b_mat, _member_terms(iso @ b_mat, cost)[1])
+    iso = _theta_mats(thetas, 2 * r, r)
+    grad = _ensemble_gradient(iso, b_mat, _member_terms(iso @ b_mat, cost)[1])
     flat = grad.reshape(len(thetas), -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
 
@@ -544,7 +575,7 @@ def test_member_gradient_matches_theta_differences(name, dims, rank):
         rho = _random_mixture(dims, rank, rng)
         cost = tee_cost(dims, 0, float(name[3:]))
     r = rho.rank()
-    thetas = rng.standard_normal((3, 4 * r * r))
+    thetas = _isometry_thetas(rng.standard_normal((3, 4 * r * r)), 2 * r, r)
     ref = _theta_differences(rho, cost, thetas)
     got = _member_gradient(rho, cost, thetas)
     assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
