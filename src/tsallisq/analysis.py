@@ -226,9 +226,7 @@ def critical_q() -> tuple[float, float]:
     lo = find_root_q(curvature_limit_at_max_c, (0.2, 0.95), f_tol=1e-14, x_tol=5e-14)
     hi = find_root_q(curvature_limit_at_max_c, (4.05, 4.8), f_tol=1e-14, x_tol=5e-14)
     if abs(lo - ANALYTIC_Q_MIN) > 1e-10 or abs(hi - ANALYTIC_Q_MAX) > 1e-10:
-        raise RuntimeError(
-            f"critical-q roots ({lo!r}, {hi!r}) drifted from the closed forms"
-        )
+        raise RuntimeError(f"critical-q roots ({lo!r}, {hi!r}) drifted from the closed forms")
     return lo, hi
 
 
@@ -326,12 +324,17 @@ class SignScanReport:
 
     def to_csv(self, fh) -> None:
         """Write the grid as CSV: a header, then one row (*point, value) per
-        point in row-major order.  Every number is %.12g with -0.0 folded to 0;
-        each coordinate is formatted once."""
-        points = itertools.product(*([_fmt12(v) for v in axis] for axis in self.axes))
+        point in row-major order.  Every number is %.12g with -0.0 folded to 0
+        (v + 0.0 folds it); each coordinate is formatted once.  The rows that
+        share their leading coordinates form one block: a template over the
+        last axis takes the block's prefix and its values in one % call."""
+        *lead, last = ([_fmt12(v) for v in axis] for axis in self.axes)
+        template = "".join(f"\0{c},%.12g\n" for c in last)
+        blocks = (self.values + 0.0).reshape(-1, len(last))
         fh.write(",".join((*self.labels, "value")) + "\n")
-        for point, v in zip(points, self.values.ravel()):
-            fh.write(f"{','.join(point)},{_fmt12(v)}\n")
+        for prefix, block in zip(itertools.product(*lead), blocks):
+            head = "".join(c + "," for c in prefix)
+            fh.write(template.replace("\0", head) % tuple(block.tolist()))
 
     def summary(self) -> dict:
         """The grid (first, last and count per axis) and its extremes; under a
@@ -364,9 +367,7 @@ def scan_sign(kind, xs, qs, claimed_sign, tolerance=_SIGN_TOL) -> SignScanReport
     """Evaluate one curvature kind on the xs x qs grid and judge a sign claim
     (see SignScanReport)."""
     if kind not in _SCAN_KINDS:
-        raise DomainError(
-            f"unknown scan kind {kind!r}; choose from {sorted(_SCAN_KINDS)}"
-        )
+        raise DomainError(f"unknown scan kind {kind!r}; choose from {sorted(_SCAN_KINDS)}")
     func, xlabel = _SCAN_KINDS[kind]
     xs = np.asarray(xs, dtype=float).ravel()
     qs = np.asarray(qs, dtype=float).ravel()

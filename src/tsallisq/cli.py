@@ -217,13 +217,16 @@ def _roof_config(args) -> RoofConfig:
 
 def _roof_fields(roof, args) -> dict:
     """--json record of a roof run: its bracket [lower, value] and gap, how
-    its winning restart stopped, and the restarts and seed that produced it."""
+    its winning restart stopped, its cost calls, how many restarts agree with
+    the winner, and the restarts and seed that produced it."""
     return {
         "converged": roof.converged,
         "iterations": roof.iterations,
         "stop_reason": roof.stop_reason,
         "lower": roof.lower,
         "gap": roof.gap,
+        "cost_calls": roof.cost_calls,
+        "agreeing_restarts": roof.agreeing_restarts,
         "restarts": args.restarts,
         "seed": args.seed,
     }

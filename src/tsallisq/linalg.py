@@ -7,6 +7,7 @@ descending order, which is the convention the rest of the package assumes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,9 +27,7 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
         if out.size * f.size > MAX_KRON_ENTRIES:
-            raise DomainError(
-                "kron result would exceed %d entries" % MAX_KRON_ENTRIES
-            )
+            raise DomainError("kron result would exceed %d entries" % MAX_KRON_ENTRIES)
         out = np.kron(out, f)
     return out
 
@@ -66,11 +65,24 @@ def _bipartition(vecs: np.ndarray, dims, keep) -> np.ndarray:
     and pure-state marginals never form a full projector.
     """
     lead = vecs.shape[:-1]
-    off = len(lead)
+    axes, side = _cut_layout(tuple(dims), tuple(keep), len(lead))
+    tensor = vecs.reshape(lead + tuple(dims))
+    return (tensor if axes is None else tensor.transpose(axes)).reshape(lead + (side, -1))
+
+
+@functools.cache
+def _cut_layout(dims, keep, off):
+    """_bipartition's transpose axes (None for the identity, as at a leading
+    cut) and kept side, made on first use per dims, keep and lead ndim."""
     rest = [i for i in range(len(dims)) if i not in keep]
-    axes = [*range(off), *(off + i for i in keep), *(off + i for i in rest)]
-    tensor = vecs.reshape(lead + tuple(dims)).transpose(axes)
-    return tensor.reshape(lead + (math.prod(dims[i] for i in keep), -1))
+    axes = (*range(off), *(off + i for i in keep), *(off + i for i in rest))
+    return (None if axes == tuple(range(len(axes))) else axes), math.prod(dims[i] for i in keep)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only: a cache hands the one array to every caller."""
+    array.flags.writeable = False
+    return array
 
 
 def _check_party(dims, party) -> int:
@@ -104,13 +116,9 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise PartitionError(f"dims must be positive, got {dims}")
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total != mat.shape[0]:
-        raise PartitionError(
-            f"dims {dims} multiply to {total}, but matrix has side {mat.shape[0]}"
-        )
+        raise PartitionError(f"dims {dims} multiply to {total}, but matrix has side {mat.shape[0]}")
     keep_set = _check_keep(dims, keep)
     n = len(dims)
     if len(keep_set) == n:
@@ -123,7 +131,5 @@ def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...])
     col_labels = [i if i not in keep_set else n + i for i in range(n)]
     out_labels = [i for i in keep_set] + [n + i for i in keep_set]
     reduced = np.einsum(tensor, row_labels + col_labels, out_labels)
-    side = 1
-    for i in keep_set:
-        side *= dims[i]
+    side = math.prod(dims[i] for i in keep_set)
     return reduced.reshape(side, side)

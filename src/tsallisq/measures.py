@@ -12,13 +12,14 @@ concurrences) live here; the roof costs add their gradients on top.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PartitionError, QRangeError
-from .linalg import _bipartition, _check_party, _sq_norms
+from .linalg import _bipartition, _check_party, _read_only, _sq_norms
 from .qstate import DensityMatrix, PureState
 
 # closed-form two-qubit window: roots of q^2 - 5q + 3
@@ -60,10 +61,10 @@ def _qlog(base, q):
     recomputed by _qlog_near; an array of orders pays for that only on its
     near entries.
     """
-    k = np.asarray(q, dtype=float) - 1.0
+    k = q - 1.0 if isinstance(q, float) else np.asarray(q, dtype=float) - 1.0
+    if np.ndim(k) == 0:
+        return _qlog_near(base, k) if abs(k) < _NEAR_ONE else (base**k - 1.0) / k
     near = np.abs(k) < _NEAR_ONE
-    if k.ndim == 0:
-        return _qlog_near(base, k) if near else (base**k - 1.0) / k
     with np.errstate(divide="ignore", invalid="ignore"):
         out = base**k
         out -= 1.0
@@ -89,7 +90,7 @@ def _tsallis_sum(p, q):
     -sum p ln_q(p), which has no cancellation near q = 1 and is the Shannon
     entropy at q = 1.  A q array must broadcast against p, last axis included.
     """
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     if isinstance(q, float) and abs(q - 1.0) >= _NEAR_ONE:
         return (1.0 - (p**q).sum(axis=-1)) / (q - 1.0)
     terms = _qlog(np.where(p > 0.0, p, 1.0), q)
@@ -108,8 +109,8 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
 
 
 def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
-    """Squared Wootters concurrence of each qubit pair, for a batch of pure
-    vectors (..., dim); returns (..., len(pairs)).
+    """Squared Wootters concurrence of each qubit pair (a tuple (i, j)), for a
+    batch of pure vectors (..., dim); returns (..., len(pairs)).
 
     Each pair marginal is M M^dagger with M the 4 x k reshaping of a vector.
     For k > 2 the stack of 4x4 marginals goes through concurrence_two_qubit.
@@ -121,13 +122,21 @@ def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
     tau = [[a, b], [b, d]] and u = det/|det| (1 when det = 0), which cancels
     nothing when s1 ~ s2.
     """
-    m = np.stack([_bipartition(vecs, dims, sorted(p)) for p in pairs], axis=-3)
+    m = vecs[..., _pair_gather(tuple(dims), tuple(pairs))]
     if m.shape[-1] == 2:
         return _sq_norms(_tau_residual(m)[3])
     gram = m @ np.swapaxes(m.conj(), -1, -2)
     gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
     c = concurrence_two_qubit(gram).c
     return c * c
+
+
+@functools.cache
+def _pair_gather(dims, pairs) -> np.ndarray:
+    """Index array idx: vecs[..., idx] stacks _bipartition(vecs, dims, sorted(p))
+    over the pairs p on axis -3; made on first use per dims and pairs (tuples)."""
+    dim = np.arange(math.prod(dims))
+    return _read_only(np.stack([_bipartition(dim, dims, sorted(p)) for p in pairs]))
 
 
 def _tau_residual(m: np.ndarray):
@@ -149,10 +158,10 @@ def _eig2_descending(gram: np.ndarray) -> np.ndarray:
     c = gram[:, 1, 1].real
     off = np.abs(gram[:, 0, 1]) ** 2
     tr = a + c
-    disc = np.sqrt(np.clip((a - c) ** 2 + 4.0 * off, 0.0, None))
-    hi = (tr + disc) / 2.0
-    lo = (tr - disc) / 2.0
-    return np.stack([hi, lo], axis=1)
+    disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * off, 0.0))
+    out = np.empty(tr.shape + (2,))
+    out[:, 0], out[:, 1] = (tr + disc) / 2.0, (tr - disc) / 2.0
+    return out
 
 
 def _tee_values(states, dims, party, q, vectors=False):
@@ -178,10 +187,16 @@ def _concurrence_values(states, dims, party):
     gram = np.einsum("nij,nkj->nik", mat, mat.conj())
     side = min(mat.shape[1:])
     rows = mat if mat.shape[1] == side else mat.swapaxes(1, 2)
-    i, j = np.triu_indices(side, 1)
+    i, j = _upper_pairs(side)
     wedge = np.einsum("npk,npl->npkl", rows[:, i], rows[:, j])
     minors_sq = _sq_norms((wedge - wedge.swapaxes(-1, -2)).reshape(len(mat), -1)) / 2.0
     return np.minimum(2.0 * np.sqrt(minors_sq), math.sqrt(2.0 * (side - 1) / side)), mat, gram
+
+
+@functools.cache
+def _upper_pairs(side: int) -> np.ndarray:
+    """np.triu_indices(side, 1) as the two rows of one array, made on first use."""
+    return _read_only(np.array(np.triu_indices(side, 1)))
 
 
 @dataclass(frozen=True)
@@ -329,12 +344,17 @@ def tee_from_concurrence_sq(csq, q):
     x -> 0. Broadcasts over array x and array q; scalars in, scalar out.
     """
     x, qa = _check_xq(csq, q)
+    out = _tee_curve(x, float(qa) if qa.ndim == 0 else qa[..., None])
+    return float(out) if out.shape == () else out
+
+
+def _tee_curve(x, q):
+    """tee_from_concurrence_sq on checked input: x an array in [0, 1], q a
+    float or an array of orders broadcast against x with a trailing axis."""
     s = np.sqrt(1.0 - x)
-    spec = np.stack([(1.0 + s) / 2.0, x / (2.0 * (1.0 + s))], axis=-1)
-    out = _tsallis_sum(spec, float(qa) if qa.ndim == 0 else qa[..., None])
-    if out.shape == ():
-        return float(out)
-    return out
+    spec = np.empty(x.shape + (2,))
+    spec[..., 0], spec[..., 1] = (1.0 + s) / 2.0, x / (2.0 * (1.0 + s))
+    return _tsallis_sum(spec, q)
 
 
 def ef_two_qubit(rho: DensityMatrix) -> float:

@@ -20,6 +20,7 @@ from .measures import (
     _check_q,
     _pair_concurrence_sq,
     _qubit_partners,
+    _tee_curve,
     _tee_values,
     _window_q,
     as_q,
@@ -99,17 +100,18 @@ def _power_rows(vecs, dims, focus: int, partners, alpha: float, q: float):
     """T_q(focus|rest)^alpha, shape (n,), and T_q(focus, j)^alpha for each
     partner j, shape (n, len(partners)), of a batch (n, 2^N) of N-qubit pure
     vectors.  The pair terms go through the concurrence closed form, which is
-    exact inside the window _window_q checks."""
+    exact inside the window _window_q checks; with q checked there, the
+    kernel's own squared concurrences need only the clip to [0, 1]."""
     lhs = _tee_values(vecs, dims, focus, q)[0] ** alpha
-    csq = _pair_concurrence_sq(vecs, dims, [(focus, j) for j in partners])
-    return lhs, tee_from_concurrence_sq(csq, q) ** alpha
+    csq = _pair_concurrence_sq(vecs, dims, tuple((focus, j) for j in partners))
+    return lhs, _tee_curve(np.clip(csq, 0.0, 1.0), q) ** alpha
 
 
 def ckw_check(psi: PureState, focus: int = 0, tolerance: float = 1e-9) -> MonogamyReport:
     """Squared-concurrence monogamy for an N-qubit pure state."""
     partners = _qubit_partners(psi.dims, focus)
     lhs = concurrence_pure(psi, focus) ** 2
-    terms = _pair_concurrence_sq(psi.amplitudes, psi.dims, [(focus, j) for j in partners])
+    terms = _pair_concurrence_sq(psi.amplitudes, psi.dims, tuple((focus, j) for j in partners))
     return _build_report(None, lhs, terms, partners, tolerance)
 
 
@@ -155,9 +157,7 @@ def hierarchical_check(
     """
     qp = as_q(q)
     if not qp.concave_regime:
-        raise QRangeError(
-            f"q={qp.q:.12g} is outside the concave regime the block term needs"
-        )
+        raise QRangeError(f"q={qp.q:.12g} is outside the concave regime the block term needs")
     partners = _qubit_partners(psi.dims, focus)
     n = psi.num_sites
     k = int(k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +23,9 @@ def _check_dims(dims) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise PartitionError(f"each subsystem needs dimension >= 2, got {dims}")
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
-        raise DomainError(
-            f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIM}"
-        )
+        raise DomainError(f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIM}")
     return dims
 
 
@@ -50,9 +47,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         total = int(np.prod(dims))
         if amps.size != total:
-            raise PartitionError(
-                f"dims {dims} need {total} amplitudes, got {amps.size}"
-            )
+            raise PartitionError(f"dims {dims} need {total} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
             raise DomainError("state vector has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
@@ -101,18 +96,14 @@ class DensityMatrix:
             raise DomainError("density matrix has non-finite entries")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > _HERM_TOL:
-            raise DomainError(
-                f"density matrix is not Hermitian (max deviation {herm_dev:.3e})"
-            )
+            raise DomainError(f"density matrix is not Hermitian (max deviation {herm_dev:.3e})")
         mat = (mat + mat.conj().T) / 2.0
         tr = float(mat.trace().real)
         if abs(tr - 1.0) > _TRACE_TOL:
             raise DomainError(f"density matrix trace is {tr:.12g}, expected 1")
         low = float(np.linalg.eigvalsh(mat)[0])
         if low < -_NEG_EIG_TOL:
-            raise DomainError(
-                f"density matrix has negative eigenvalue {low:.3e}"
-            )
+            raise DomainError(f"density matrix has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(mat))
 
@@ -332,9 +323,7 @@ def load_state(path: str):
 
     pure = "amplitudes" in payload
     if pure == ("matrix" in payload):
-        raise StateFormatError(
-            f"{path}: exactly one of 'amplitudes' or 'matrix' is required"
-        )
+        raise StateFormatError(f"{path}: exactly one of 'amplitudes' or 'matrix' is required")
     key = "amplitudes" if pure else "matrix"
     try:
         arr = _pairs_to_complex(payload[key])

@@ -34,6 +34,7 @@ point no matter how many restarts follow it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -41,19 +42,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _check_party, _sq_norms
+from .linalg import _bipartition, _check_party, _read_only, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _caf_bound,
     _concurrence_values,
     _qlog,
+    _pair_gather,
     _qubit_partners,
     _tau_residual,
+    _tee_curve,
     _tee_values,
     _window_q,
     as_q,
     concurrence_two_qubit,
-    tee_from_concurrence_sq,
 )
 from .qstate import Decomposition, DensityMatrix, PureState
 
@@ -101,6 +103,9 @@ class RoofResult:
     certifies the value), "tolerance" (four accepted steps each gaining less
     than tolerance), "step" (step size collapsed below 1e-10), "cap"
     (max_iterations reached) or "exact" (rank-1 input, nothing to optimize).
+    cost_calls counts every call of the cost, the final recompute included;
+    agreeing_restarts counts the restarts whose final value lies within
+    tolerance of the winner's (1 for rank-1 input).
     """
 
     value: float
@@ -109,6 +114,8 @@ class RoofResult:
     iterations: int
     stop_reason: str
     lower: float | None = None
+    cost_calls: int = 0
+    agreeing_restarts: int = 0
 
     @property
     def gap(self) -> float | None:
@@ -141,8 +148,9 @@ def _phase_fixed_isometries(mats: np.ndarray) -> np.ndarray:
         v = mats[..., j]
         if j:
             prev = q[..., :j]
+            prev_conj = prev.conj()
             for _ in range(2):
-                coef = np.einsum("...mk,...m->...k", prev.conj(), v)
+                coef = np.einsum("...mk,...m->...k", prev_conj, v)
                 v = v - np.einsum("...mk,...k->...m", prev, coef)
         q[..., j] = v / np.sqrt(_sq_norms(v))[..., None]
     return q
@@ -158,9 +166,7 @@ def decomposition_from_isometry(rho: DensityMatrix, isometry: np.ndarray) -> Dec
     r = lam.size
     v = np.asarray(isometry, dtype=complex)
     if v.ndim != 2 or v.shape[1] != r:
-        raise PartitionError(
-            f"isometry shape {v.shape} does not match state rank {r}"
-        )
+        raise PartitionError(f"isometry shape {v.shape} does not match state rank {r}")
     if v.shape[0] < r:
         raise DomainError("isometry needs at least rank many rows")
     gram = v.conj().T @ v
@@ -194,13 +200,19 @@ def _member_terms(phi: np.ndarray, cost):
     w = _sq_norms(flat)
     live = w > 1e-14
     root = np.sqrt(np.where(live, w, 1.0))[:, None]
-    states = np.where(live[:, None], flat, np.eye(1, flat.shape[1])) / root
+    states = np.where(live[:, None], flat, _unit_row(flat.shape[1])) / root
     f, f_grad = cost(states)
     f = f * live
     radial = np.einsum("ni,ni->n", states.conj(), f_grad).real[:, None]
     terms = w * f
     grads = 2.0 * f[:, None] * flat + (root * live[:, None]) * (f_grad - radial * states)
     return terms.reshape(phi.shape[:-1]), grads.reshape(phi.shape)
+
+
+@functools.cache
+def _unit_row(dim: int) -> np.ndarray:
+    """(1, 0, ..., 0), where _member_terms costs dead members; made once per dim."""
+    return _read_only(np.eye(1, dim))
 
 
 _HALF_UPPER = tuple(np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r) for r in range(_MAX_RANK + 1))
@@ -268,6 +280,8 @@ def minimize_roof(
             iterations=0,
             stop_reason="exact",
             lower=floor,
+            cost_calls=1,
+            agreeing_restarts=1,
         )
 
     m = 2 * r  # ensemble size: enough for every optimal decomposition targeted here
@@ -293,37 +307,37 @@ def minimize_roof(
     iters = np.zeros(n_restart, dtype=int)
     stopped = np.zeros(n_restart, dtype=bool)
     reason = np.full(n_restart, "cap", dtype=object)
-    stop_at = -np.inf if floor is None else floor + cfg.tolerance
-    at_floor = current.min() <= stop_at
+    at_floor = floor is not None and current.min() <= floor + cfg.tolerance
 
     for _ in range(cfg.max_iterations):
         if at_floor or stopped.all():
             break
-        idx = np.nonzero(~stopped)[0]
-        iso_cand = _phase_fixed_isometries(mats[idx] - alpha[idx, None, None] * grad[idx])
+        # the running restarts: the whole batch, as views, until one stops
+        run = np.nonzero(~stopped)[0] if stopped.any() else slice(None)
+        iso_cand = _phase_fixed_isometries(mats[run] - alpha[run, None, None] * grad[run])
         terms, dphi = _member_terms(iso_cand @ b_mat, cost)
         f_cand = terms.sum(axis=1)
-        gain = current[idx] - f_cand
+        gain = current[run] - f_cand
         took = gain > _ACCEPT_SLACK
-        acc = idx[took]
+        acc = took if isinstance(run, slice) else run[took]
         mats[acc] = iso_cand[took]
         current[acc] = f_cand[took]
-        if acc.size:  # a rejected step keeps its point, and so its gradient
+        if took.any():  # a rejected step keeps its point, and so its gradient
             grad[acc] = _ensemble_gradient(mats[acc], b_mat, dphi[took])
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
-        alpha[acc] *= 1.3
-        rej = idx[~took]
-        alpha[rej] *= 0.4
-        iters[idx] += 1
+        alpha[run] *= np.where(took, 1.3, 0.4)
+        iters[run] += 1
 
-        at_floor = current.min() <= stop_at
+        at_floor = floor is not None and current.min() <= floor + cfg.tolerance
         if at_floor:
             break
-        collapsed = ~stopped & (alpha < 1e-10)
-        settled = ~stopped & (streak >= 4)
-        reason[collapsed] = "step"
-        reason[settled] = "tolerance"
-        stopped |= collapsed | settled
+        collapsed = alpha < 1e-10
+        settled = streak >= 4
+        ended = (collapsed | settled) & ~stopped
+        if ended.any():
+            reason[ended & collapsed] = "step"
+            reason[ended & settled] = "tolerance"
+            stopped |= ended
 
     if at_floor:
         # the rest of the batch is abandoned, not run to the cap
@@ -342,15 +356,19 @@ def minimize_roof(
         iterations=int(iters[best]),
         stop_reason=str(reason[best]),
         lower=floor,
+        cost_calls=int(iters.max()) + 2,  # the first, one a sweep, the recompute
+        agreeing_restarts=int((current <= current[best] + cfg.tolerance).sum()),
     )
 
 
 # --- pure-state cost factories: values from measures, gradients here ---------
 
 
-def _state_order(dims, keep) -> np.ndarray:
-    """The gather that undoes _bipartition(., dims, keep), made once per cost."""
-    return np.argsort(_bipartition(np.arange(math.prod(dims)), dims, keep).ravel())
+def _state_order(dims, keep):
+    """The gather that undoes _bipartition(., dims, keep), made once per cost;
+    the slice that gathers nothing where it is the identity (a leading cut)."""
+    order = np.argsort(_bipartition(np.arange(math.prod(dims)), dims, keep).ravel())
+    return slice(None) if np.array_equal(order, np.arange(order.size)) else order
 
 
 def _to_states(grad_mats: np.ndarray, order) -> np.ndarray:
@@ -417,16 +435,17 @@ def indicator_summand_cost(dims, focus: int, q: float):
     if dims != (2, 2, 2):
         raise PartitionError(f"indicator needs three qubits, got dims {dims}")
     q = _window_q(q).q
-    pairs = [sorted((int(focus), j)) for j in _qubit_partners(dims, focus)]
+    pairs = tuple(tuple(sorted((int(focus), j))) for j in _qubit_partners(dims, focus))
     focus_tee = tee_cost(dims, focus, q)
+    gather = _pair_gather(dims, pairs)
     orders = [_state_order(dims, p) for p in pairs]
 
     def cost(states: np.ndarray):
         t, t_grad = focus_tee(states)
-        m = np.stack([_bipartition(states, dims, p) for p in pairs], axis=-3)
+        m = states[:, gather]
         tau, phase, live, row = _tau_residual(m)
         x = np.clip(_sq_norms(row), 0.0, 1.0)
-        pair_tee = tee_from_concurrence_sq(x, q)
+        pair_tee = _tee_curve(x, q)
         s = np.sqrt(1.0 - x)
         logs = _qlog(np.stack([(1.0 + s) / 2.0, np.where(x > 0.0, x, 1.0) / (2.0 * (1.0 + s))]), q)
         coef = -2.0 * q * pair_tee * (logs[0] - logs[1]) / np.maximum(s, _TINY)
@@ -448,9 +467,7 @@ def roof_concurrence(
     tolerance of its floor: Wootters at (2, 2), which is the roof itself, the
     Chen-Albeverio-Fei bound for a qubit against a qudit, 0 otherwise."""
     if rho.num_sites != 2:
-        raise PartitionError(
-            f"roof concurrence expects a bipartite state, got dims {rho.dims}"
-        )
+        raise PartitionError(f"roof concurrence expects a bipartite state, got dims {rho.dims}")
     cost = concurrence_cost(rho.dims, party)
     if rho.dims == (2, 2):
         floor = concurrence_two_qubit(rho).c

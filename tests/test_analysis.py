@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -254,6 +255,43 @@ def test_scan_sign_csv_stable():
     assert len(lines) == 1 + 4 * 2
     # -0.0 never leaks into the output
     assert "-0," not in buf_a.getvalue() and not buf_a.getvalue().endswith("-0")
+
+
+
+def _row_by_row_csv(report) -> str:
+    # the writer before the block template: one f-string per point
+    def fmt(value):
+        v = float(value)
+        return format(0.0 if v == 0.0 else v, ".12g")
+
+    points = itertools.product(*([fmt(v) for v in axis] for axis in report.axes))
+    rows = [",".join((*report.labels, "value")) + "\n"]
+    for point, v in zip(points, report.values.ravel()):
+        rows.append(f"{','.join(point)},{fmt(v)}\n")
+    return "".join(rows)
+
+
+_EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 1e-300, 1e300, -2.5, 5e-324, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        ([-0.0, 0.5, 1e-300, 2.0 / 3.0, -1e300, 7.0, 1e20, -3.25, 0.1, 4.0],),
+        ([0.0, -0.0, 1.5, math.pi, 1e-7], [2.0, -1.0]),
+        ([0.25], [1e300, -0.0, 3.0, 1.0 / 7.0, 5e-324, 8.0, -4.5, 2.0, 1e-5, 0.0]),
+        ([0.5, -0.0], [1.0, 2.0, 3.0], [-0.0, 1e-300]),
+    ],
+)
+def test_to_csv_matches_row_by_row_format(axes):
+    sizes = [len(a) for a in axes]
+    count = math.prod(sizes)
+    values = np.resize(np.array(_EDGE_VALUES), count)
+    values[1::3] *= -1.0
+    report = SignScanReport("grid", tuple("abc"[: len(axes)]), axes, values.reshape(sizes), None)
+    buf = io.StringIO()
+    report.to_csv(buf)
+    assert buf.getvalue() == _row_by_row_csv(report)
 
 
 def test_scan_sign_summary_keys():

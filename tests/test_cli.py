@@ -129,7 +129,17 @@ def test_indicator_upper_bound_marker(tmp_path, capsys, rng):
     assert out.endswith("(upper bound)")
 
 
-ROOF_KEYS = {"converged", "iterations", "stop_reason", "lower", "gap", "restarts", "seed"}
+ROOF_KEYS = {
+    "converged",
+    "iterations",
+    "stop_reason",
+    "lower",
+    "gap",
+    "cost_calls",
+    "agreeing_restarts",
+    "restarts",
+    "seed",
+}
 
 
 def test_roof_json_reports_stop_reason(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,29 @@ def test_bipartition_gram_is_partial_trace(keep):
         gram = gram.transpose(order + [len(keep) + i for i in order]).reshape(side, side)
         ref = partial_trace(np.outer(vec, vec.conj()), dims, keep)
         assert np.max(np.abs(gram - ref)) <= 1e-13
+
+
+def _moveaxis_cut(vecs, dims, keep):
+    # reference layout: move the kept factors to the front, in keep's order
+    off = vecs.ndim - 1
+    tensor = vecs.reshape(vecs.shape[:-1] + tuple(dims))
+    tensor = np.moveaxis(tensor, [off + i for i in keep], list(range(off, off + len(keep))))
+    side = int(np.prod([dims[i] for i in keep]))
+    return tensor.reshape(vecs.shape[:-1] + (side, -1))
+
+
+def _every_keep(n):
+    return [p for k in range(1, n + 1) for p in itertools.permutations(range(n), k)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_bipartition_matches_moveaxis_bit_for_bit(dims, lead):
+    rng = np.random.default_rng(len(dims) + len(lead))
+    dim = int(np.prod(dims))
+    vecs = rng.normal(size=lead + (dim,)) + 1j * rng.normal(size=lead + (dim,))
+    for keep in _every_keep(len(dims)):
+        got = _bipartition(vecs, dims, keep)
+        ref = _moveaxis_cut(vecs, dims, keep)
+        assert got.shape == ref.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()

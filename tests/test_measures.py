@@ -29,7 +29,7 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
-from tsallisq.measures import _caf_bound, _pair_concurrence_sq
+from tsallisq.measures import _caf_bound, _pair_concurrence_sq, _pair_gather
 from tsallisq.roof import concurrence_cost, tee_cost
 
 LN2 = math.log(2.0)
@@ -467,3 +467,21 @@ def test_measures_holds_its_kernels_without_importing_roof():
     assert "roof" not in imported
     for name in ("_eig2_descending", "_tee_values", "_concurrence_values"):
         assert getattr(measures, name).__module__ == "tsallisq.measures"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_pair_gather_matches_moveaxis_bit_for_bit(n, lead):
+    rng = np.random.default_rng(n)
+    dims = (2,) * n
+    vecs = rng.normal(size=lead + (2**n,)) + 1j * rng.normal(size=lead + (2**n,))
+    pairs = tuple(itertools.permutations(range(n), 2))
+    got = vecs[..., _pair_gather(dims, pairs)]
+    off = len(lead)
+    ref = []
+    for pair in pairs:
+        tensor = np.moveaxis(vecs.reshape(lead + dims), [off + i for i in sorted(pair)], [off, off + 1])
+        ref.append(tensor.reshape(lead + (4, -1)))
+    ref = np.stack(ref, axis=-3)
+    assert got.shape == ref.shape == lead + (len(pairs), 4, 2 ** (n - 2))
+    assert got.tobytes() == ref.tobytes()

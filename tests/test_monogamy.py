@@ -26,6 +26,7 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import find_root_q
+from tsallisq.measures import _pair_concurrence_sq
 from tsallisq.monogamy import _gw_indicator, random_biseparable_mixture
 
 # roots of the two example residuals, frozen from high-precision solves
@@ -359,3 +360,128 @@ def test_example5_matches_roof_route(quick_roof):
         terms.append(minimize_roof(red, tee_cost(red.dims, 0, q), quick_roof).value ** 2)
     direct = lhs - sum(terms)
     assert example5_residual(q) == pytest.approx(direct, abs=1e-6)
+
+
+# --- pinned bits ------------------------------------------------------------------
+
+
+def _pinned_kernel_values():
+    # seeded 3- to 6-qubit states on both sides of q = 1; every float each
+    # call returns, as .hex()
+    rng = np.random.default_rng(2718)
+
+    def bits(values):
+        return tuple(float(v).hex() for v in values)
+
+    def report(rep):
+        return bits((rep.lhs, rep.residual, *rep.terms))
+
+    out = {}
+    for n, q, focus in ((3, 0.8, 0), (4, 1.0, 2), (5, 2.0, 4), (6, 3.5, 1)):
+        psi = random_pure_state((2,) * n, rng)
+        pairs = [(focus, j) for j in range(n) if j != focus]
+        out[f"n{n}-pairs"] = bits(_pair_concurrence_sq(psi.amplitudes, psi.dims, pairs))
+        out[f"n{n}-alpha2"] = report(alpha_residual(psi, focus, 2.0, q))
+        out[f"n{n}-alpha3"] = report(alpha_residual(psi, focus, 3.0, q))
+        out[f"n{n}-ckw"] = report(ckw_check(psi, focus))
+        out[f"n{n}-hier"] = report(hierarchical_check(psi, focus, n, q))
+        if n == 4:
+            cfg = RoofConfig(restarts=4, seed=2)
+            out["n4-hier-k3"] = report(hierarchical_check(psi, focus, 3, 2.0, cfg))
+    return out
+
+
+# _pinned_kernel_values as recorded before the pure-state kernels' numpy calls
+# were trimmed: those trims must leave every bit unchanged
+_PINNED_KERNEL_BITS = {
+    "n3-pairs": (
+        "0x1.4819191adf955p-4", "0x1.9e7825ad077c0p-4",
+    ),
+    "n3-alpha2": (
+        "0x1.b9d407cd45792p-2", "0x1.8996db0d1947cp-2", "0x1.43e2ea9cd1dc6p-6",
+        "0x1.bfefe165f139cp-6",
+    ),
+    "n3-alpha3": (
+        "0x1.2238d0c278fe7p-2", "0x1.1abf26f3abc44p-2", "0x1.6c4eed0299c72p-9",
+        "0x1.2842fd3201a9bp-8",
+    ),
+    "n3-ckw": (
+        "0x1.a37bb42996826p-1", "0x1.46a98c5099a04p-1", "0x1.4819191adf955p-4",
+        "0x1.9e7825ad077c0p-4",
+    ),
+    "n3-hier": (
+        "0x1.b9d407cd45792p-2", "0x1.8996db0d1947cp-2", "0x1.43e2ea9cd1dc6p-6",
+        "0x1.bfefe165f139cp-6",
+    ),
+    "n4-pairs": (
+        "0x1.68159b28f0074p-7", "0x1.2777544794bb3p-4", "0x1.009d7b881013fp-7",
+    ),
+    "n4-alpha2": (
+        "0x1.03adb0e6ef4edp-2", "0x1.f502babae2764p-3", "0x1.7a1925f3fb879p-12",
+        "0x1.1320deb3336d2p-7", "0x1.a632533bcb3acp-13",
+    ),
+    "n4-alpha3": (
+        "0x1.05899941848bbp-3", "0x1.03f1257129362p-3", "0x1.cb80666fb42a9p-18",
+        "0x1.935d6c8cf6776p-11", "0x1.7f63017fb1f17p-19",
+    ),
+    "n4-ckw": (
+        "0x1.4a7ff85453783p-1", "0x1.1bee41709ce06p-1", "0x1.68159b28f0074p-7",
+        "0x1.2777544794bb3p-4", "0x1.009d7b881013fp-7",
+    ),
+    "n4-hier": (
+        "0x1.03adb0e6ef4edp-2", "0x1.f502babae2764p-3", "0x1.7a1925f3fb879p-12",
+        "0x1.1320deb3336d2p-7", "0x1.a632533bcb3acp-13",
+    ),
+    "n4-hier-k3": (
+        "0x1.aaae2c31bbc05p-4", "0x1.057fd00d672b0p-4", "0x1.fa7cc635f5ef0p-16",
+        "0x1.4a1d68afe26bfp-5",
+    ),
+    "n5-pairs": (
+        "0x0.0p+0", "0x1.24a67e03e3367p-8", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "n5-alpha2": (
+        "0x1.d7be613cda35ep-3", "0x1.d7bbc42462b4dp-3", "0x0.0p+0",
+        "0x1.4e8c3bc0897c9p-18", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "n5-alpha3": (
+        "0x1.c4d187f4669ccp-4", "0x1.c4d184f7838d3p-4", "0x0.0p+0",
+        "0x1.7e7187c475b2ap-27", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "n5-ckw": (
+        "0x1.eb75b718b8cb8p-1", "0x1.e92c6a1cb1051p-1", "0x0.0p+0",
+        "0x1.24a67e03e3367p-8", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "n5-hier": (
+        "0x1.d7be613cda35ep-3", "0x1.d7bbc42462b4dp-3", "0x0.0p+0",
+        "0x1.4e8c3bc0897c9p-18", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "n6-pairs": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0",
+    ),
+    "n6-alpha2": (
+        "0x1.9d78db4dfea94p-4", "0x1.9d78db4dfea94p-4", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "n6-alpha3": (
+        "0x1.06bc607607414p-5", "0x1.06bc607607414p-5", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "n6-ckw": (
+        "0x1.ece52f2acf5d4p-1", "0x1.ece52f2acf5d4p-1", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "n6-hier": (
+        "0x1.9d78db4dfea94p-4", "0x1.9d78db4dfea94p-4", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+}
+
+
+def test_pure_kernel_bits_are_pinned():
+    assert _pinned_kernel_values() == _PINNED_KERNEL_BITS

@@ -734,5 +734,96 @@ def test_cost_rows_per_call_bounded():
     m = 2 * 8
     assert np.allclose(res.decomposition.reconstruct(), rho.matrix, atol=1e-8)
     # the initial evaluation, one call per sweep and the final recompute
-    assert len(rows) == 1 + res.iterations + 1
+    assert len(rows) == 1 + res.iterations + 1 == res.cost_calls
     assert max(rows) <= cfg.restarts * m
+
+
+def test_run_record_counts_cost_calls_and_agreeing_restarts(bell):
+    calls = []
+
+    def counted(inner):
+        def cost(states):
+            calls.append(len(states))
+            return inner(states)
+
+        return cost
+
+    cfg = RoofConfig(restarts=6, seed=3)
+    rank2, full = _criterion07_inputs()
+    runs = [(rho, tee_cost((2, 2), 0, 2.0), None) for rho in rank2[:3]]
+    runs += [(rho, concurrence_cost((2, 2), 0), concurrence_two_qubit(rho).c) for rho in full]
+    for rho, inner, floor in runs:
+        calls.clear()
+        res = minimize_roof(rho, counted(inner), cfg, floor=floor)
+        assert res.cost_calls == len(calls) >= 2
+        assert 1 <= res.agreeing_restarts <= cfg.restarts
+        single = minimize_roof(rho, inner, RoofConfig(restarts=1, seed=3), floor=floor)
+        assert single.agreeing_restarts == 1
+    calls.clear()
+    exact = minimize_roof(bell.to_density(), counted(concurrence_cost((2, 2), 0)), cfg)
+    assert exact.cost_calls == len(calls) == 1 and exact.agreeing_restarts == 1
+
+
+# --- pinned runs --------------------------------------------------------------
+
+
+def _pinned_roof_runs():
+    # one seeded roof per cost factory and kind of floor; each case draws its
+    # state from its own generator
+    cfg = RoofConfig(restarts=4, seed=9, max_iterations=400)
+
+    def mixture(dims, rank, seed):
+        return _random_mixture(dims, rank, np.random.default_rng(seed))
+
+    def ghz_w(p):
+        mat = p * ghz(3).to_density().matrix + (1 - p) * w_state(3).to_density().matrix
+        return DensityMatrix((2, 2, 2), mat)
+
+    cases = {
+        "tee-22-p0-q2": lambda: minimize_roof(mixture((2, 2), 2, 1), tee_cost((2, 2), 0, 2.0), cfg),
+        "tee-22-p1-q3.5": lambda: minimize_roof(mixture((2, 2), 2, 2), tee_cost((2, 2), 1, 3.5), cfg),
+        "tee-22-p0-q0.9": lambda: minimize_roof(mixture((2, 2), 2, 3), tee_cost((2, 2), 0, 0.9), cfg),
+        "tee-32-p0-q2": lambda: minimize_roof(mixture((3, 2), 2, 4), tee_cost((3, 2), 0, 2.0), cfg),
+        "tee-23-p1-q3": lambda: minimize_roof(mixture((2, 3), 2, 5), tee_cost((2, 3), 1, 3.0), cfg),
+        "tee-22-r3-q2": lambda: minimize_roof(mixture((2, 2), 3, 6), tee_cost((2, 2), 0, 2.0), cfg),
+        "conc-22-wootters-r2": lambda: roof_concurrence(mixture((2, 2), 2, 7), cfg),
+        "conc-22-wootters-r3": lambda: roof_concurrence(mixture((2, 2), 3, 8), cfg),
+        "conc-22-p1-floor0": lambda: minimize_roof(
+            mixture((2, 2), 2, 9), concurrence_cost((2, 2), 1), cfg, floor=0.0
+        ),
+        "conc-24-caf": lambda: roof_concurrence(mixture((2, 4), 2, 10), cfg),
+        "conc-23-caf-r3": lambda: roof_concurrence(mixture((2, 3), 3, 11), cfg),
+        "indicator-bisep": lambda: indicator(
+            random_biseparable_mixture(np.random.default_rng(12), members=2), 2.0, cfg
+        ).roof,
+        "indicator-ghz-w": lambda: indicator(ghz_w(0.5), 2.0, cfg).roof,
+    }
+    return {name: run() for name, run in cases.items()}
+
+
+# value.hex(), iterations and stop_reason of each run in _pinned_roof_runs,
+# recorded before the optimizer's numpy calls were trimmed: those trims must
+# leave every bit of every run unchanged
+_PINNED_ROOFS = {
+    "tee-22-p0-q2": ("0x1.c8d66e0676c06p-6", 9, "tolerance"),
+    "tee-22-p1-q3.5": ("0x1.470babf977dd6p-5", 18, "tolerance"),
+    "tee-22-p0-q0.9": ("0x1.706610ac91fbfp-2", 14, "tolerance"),
+    "tee-32-p0-q2": ("0x1.2b1be02c83834p-2", 13, "tolerance"),
+    "tee-23-p1-q3": ("0x1.90896127a2190p-4", 12, "tolerance"),
+    "tee-22-r3-q2": ("0x1.13e64a8261e8dp-3", 23, "tolerance"),
+    "conc-22-wootters-r2": ("0x1.c92cdae7de2e7p-2", 8, "floor"),
+    "conc-22-wootters-r3": ("0x1.b4dbf7b05022ap-3", 19, "floor"),
+    "conc-22-p1-floor0": ("0x1.5958fb4a7d496p-2", 15, "tolerance"),
+    "conc-24-caf": ("0x1.4dc5ad5604f12p-1", 9, "tolerance"),
+    "conc-23-caf-r3": ("0x1.974422e172845p-2", 166, "tolerance"),
+    "indicator-bisep": ("0x1.ddf5fa4a18597p-28", 8, "floor"),
+    "indicator-ghz-w": ("0x1.cdd90338907a9p-4", 70, "tolerance"),
+}
+
+
+def test_roof_runs_are_pinned():
+    got = {
+        name: (res.value.hex(), res.iterations, res.stop_reason)
+        for name, res in _pinned_roof_runs().items()
+    }
+    assert got == _PINNED_ROOFS
