@@ -150,68 +150,36 @@ def curvature_limit_at_max_c(q):
 
 
 def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=None):
-    """Brent root finder on a scalar function of q.
+    """Bisection root finder on a scalar function of q.
 
-    bracket must straddle a sign change.  When trace is a list, the current
-    bracketing interval (lo, hi) is appended once per iteration, so callers
-    can observe that the bracket never widens.  Raises ConvergenceError when
-    neither tolerance is met within max_iter iterations.
+    bracket must straddle a sign change.  Each iteration halves the bracket
+    and costs one evaluation, so a bracket of width w takes at most
+    ceil(log2(w / x_tol)) + 2 evaluations.  It stops when |f| <= f_tol at a
+    bracket end or the bracket is no wider than x_tol, and returns the end
+    with the smaller |f|.  When trace is a list, the current bracket (lo, hi)
+    is appended once per iteration.  Raises ConvergenceError when neither
+    tolerance is met within max_iter iterations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = float(func(a)), float(func(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     if fa * fb > 0.0:
         raise DomainError(
             f"bracket ({a:g}, {b:g}) does not straddle a sign change "
             f"(f values {fa:.3e}, {fb:.3e})"
         )
-    if abs(fa) < abs(fb):
-        a, b, fa, fb = b, a, fb, fa
-    c, fc = a, fa
-    d = b
-    mflag = True
     for it in range(max_iter + 1):
         if trace is not None:
             trace.append((min(a, b), max(a, b)))
-        if fb == 0.0 or abs(fb) <= f_tol or abs(b - a) <= x_tol:
-            return b
+        if min(abs(fa), abs(fb)) <= f_tol or abs(b - a) <= x_tol:
+            return a if abs(fa) <= abs(fb) else b
         if it == max_iter:
             break
-        if fa != fc and fb != fc:
-            s = (
-                a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
-            )
+        m = (a + b) / 2.0
+        fm = float(func(m))
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
         else:
-            s = b - fb * (b - a) / (fb - fa)
-        lo, hi = (3.0 * a + b) / 4.0, b
-        if lo > hi:
-            lo, hi = hi, lo
-        delta = x_tol
-        use_bisect = (
-            not (lo < s < hi)
-            or (mflag and abs(s - b) >= abs(b - c) / 2.0)
-            or (not mflag and abs(s - b) >= abs(c - d) / 2.0)
-            or (mflag and abs(b - c) < delta)
-            or (not mflag and abs(c - d) < delta)
-        )
-        if use_bisect:
-            s = (a + b) / 2.0
-            mflag = True
-        else:
-            mflag = False
-        fs = float(func(s))
-        d, c, fc = c, b, fb
-        if fa * fs < 0.0:
-            b, fb = s, fs
-        else:
-            a, fa = s, fs
-        if abs(fa) < abs(fb):
-            a, b, fa, fb = b, a, fb, fa
+            b, fb = m, fm
     raise ConvergenceError(
         f"no root within f_tol={f_tol:g} or x_tol={x_tol:g} after {max_iter} "
         f"iterations; last bracket ({min(a, b):.17g}, {max(a, b):.17g})"
@@ -266,7 +234,9 @@ class SignScanReport:
     values has one dimension per axis.  claimed_sign is "nonnegative",
     "nonpositive" or None (nothing is judged).  A value violates the claim
     when it lies beyond +-tolerance on the wrong side of it; NaN always does.
-    The worst point is the grid's extreme on the wrong side, or its first NaN.
+    num_violations counts them; violations keeps the first ten in row-major
+    order.  The worst point is the grid's extreme on the wrong side, or its
+    first NaN.
     """
 
     kind: str
@@ -275,6 +245,7 @@ class SignScanReport:
     values: np.ndarray
     claimed_sign: str | None
     tolerance: float = _SIGN_TOL
+    num_violations: int = field(init=False)
     violations: tuple[DerivativeSample, ...] = field(init=False)
     min_value: float = field(init=False)
     max_value: float = field(init=False)
@@ -292,23 +263,25 @@ class SignScanReport:
             raise DomainError("scan grids must be nonempty")
         values = np.asarray(self.values, dtype=float).reshape([a.size for a in axes])
 
-        def sample(index):
+        def sample(flat):
+            index = np.unravel_index(flat, values.shape)
             point = tuple(float(a[i]) for a, i in zip(axes, index))
             return DerivativeSample(self.kind, point, float(values[index]))
 
-        violations, worst = (), None
+        count, violations, worst = 0, (), None
         if self.claimed_sign is not None:
             low = self.claimed_sign == "nonnegative"
             wrong = values < -self.tolerance if low else values > self.tolerance
-            violations = tuple(map(sample, zip(*np.nonzero(wrong | np.isnan(values)))))
+            bad = np.flatnonzero(wrong | np.isnan(values))
+            count, violations = bad.size, tuple(map(sample, bad[:10]))
             # argmin and argmax return the first NaN when there is one
-            extreme = np.argmin(values) if low else np.argmax(values)
-            worst = sample(np.unravel_index(extreme, values.shape))
+            worst = sample(np.argmin(values) if low else np.argmax(values))
         finite = np.abs(values[np.isfinite(values)])
         derived = dict(
             axes=axes,
             values=values,
             tolerance=float(self.tolerance),
+            num_violations=count,
             violations=violations,
             min_value=float(np.nanmin(values)),
             max_value=float(np.nanmax(values)),
@@ -320,7 +293,7 @@ class SignScanReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.num_violations == 0
 
     def to_csv(self, fh) -> None:
         """Write the grid as CSV: a header, then one row (*point, value) per
@@ -354,10 +327,10 @@ class SignScanReport:
                 tolerance=self.tolerance,
                 min_abs_value=self.min_abs_value,
                 ok=self.ok,
-                num_violations=len(self.violations),
+                num_violations=self.num_violations,
                 violations=[
                     {"kind": v.kind, **dict(zip(self.labels, v.point)), "value": v.value}
-                    for v in self.violations[:10]
+                    for v in self.violations
                 ],
             )
         return out

@@ -443,8 +443,8 @@ def cmd_scan(args) -> int:
     human = [f"{subject}: {report.values.size} points, min {lo:.6g}, max {hi:.6g}"]
     if args.sign:
         status, worst = "ok", ""
-        if report.violations:
-            status, at = f"{len(report.violations)} violations", report._worst
+        if report.num_violations:
+            status, at = f"{report.num_violations} violations", report._worst
             worst = f"; worst {at.value:.6g} at ({', '.join(f'{c:.6g}' for c in at.point)})"
         human.append(f"claimed {args.sign}: {status} (tolerance {report.tolerance:g}){worst}")
     if args.csv:
@@ -488,7 +488,7 @@ def _spot_checks(spots) -> list[dict]:
 
 
 def _root_checks(wording: str) -> list[dict]:
-    """Brent roots of the example4/example5 residuals, each inside its window."""
+    """Bisection roots of the example4/example5 residuals, each inside its window."""
     checks = []
     for name, residual, bracket, (lo, hi) in (
         ("example4-root", example4_residual, (1.1, 2.0), (1.60, 1.64)),

@@ -359,8 +359,7 @@ def _tee_curve(x, q):
 
 def ef_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of formation of a two-qubit state, in nats."""
-    c = concurrence_two_qubit(rho).c
-    return float(tee_from_concurrence_sq(c * c, 1.0))
+    return tee_two_qubit(rho, 1.0)
 
 
 def tee_pure(psi: PureState, party: int, q) -> float:

@@ -215,6 +215,24 @@ def test_find_root_raises_at_iteration_cap():
     assert not issubclass(ConvergenceError, DomainError)
 
 
+def test_find_root_q_bisects():
+    calls, trace = [], []
+
+    def func(t):
+        calls.append(t)
+        return math.cos(t) - t
+
+    root = find_root_q(func, (0.0, 1.5), f_tol=0.0, trace=trace)
+    widths = [hi - lo for lo, hi in trace]
+    # every step halves the bracket, with no interpolated step in between
+    assert all(b == a / 2.0 for a, b in zip(widths, widths[1:]))
+    assert widths[-1] <= 1e-12 < widths[-2]
+    assert len(calls) <= math.ceil(math.log2(1.5 / 1e-12)) + 3
+    # the returned end is the bracket end with the smaller |f|
+    assert root in trace[-1]
+    assert abs(math.cos(root) - root) == min(abs(math.cos(t) - t) for t in trace[-1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.1, 3.0), st.floats(0.05, 2.0))
 def test_find_root_random_affine(root, slope):
@@ -346,3 +364,30 @@ def test_power_bound_rejects_bad_args():
         holds_power_bound(0.5, 0.5)
     with pytest.raises(DomainError):
         holds_sum_power_bound(np.array([0.5]), 1.5)
+
+
+def test_sign_report_counts_every_violation_and_keeps_ten():
+    axes = (np.array([0.0, 0.5, 1.0]), np.arange(1.0, 8.0))
+    values = -(1.0 + np.arange(21.0)).reshape(3, 7) / 4.0
+    values[2, 3] = np.nan
+    report = SignScanReport("t", ("a", "b"), axes, values, "nonnegative")
+    assert report.num_violations == 21 and not report.ok
+    firsts = [(0.0, b) for b in range(1, 8)] + [(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)]
+    assert [v.point for v in report.violations] == firsts
+    assert [v.value for v in report.violations] == [-0.25 * k for k in range(1, 11)]
+    assert report._worst.point == (1.0, 4.0) and math.isnan(report._worst.value)
+    assert report.summary() == {
+        "grid": {"a": [0.0, 1.0, 3], "b": [1.0, 7.0, 7]},
+        "min_value": -5.25,
+        "max_value": -0.25,
+        "kind": "t",
+        "claimed_sign": "nonnegative",
+        "tolerance": 1e-10,
+        "min_abs_value": 0.25,
+        "ok": False,
+        "num_violations": 21,
+        "violations": [
+            {"kind": "t", "a": a, "b": b, "value": -0.25 * k}
+            for k, (a, b) in enumerate(firsts, start=1)
+        ],
+    }

@@ -7,12 +7,14 @@ import pytest
 
 from tsallisq import (
     DensityMatrix,
+    SignScanReport,
     load_state,
     random_biseparable_mixture,
     random_pure_state,
     save_state,
     w_indicator_closed_form,
 )
+from tsallisq import cli
 from tsallisq.cli import UsageError, main, parse_number, parse_range
 
 
@@ -272,6 +274,29 @@ def test_scan_sign_violation_reported_but_exit_zero(capsys):
     assert main(["scan", "tee-curvature", "--x", "0.5", "--q", "4.2", "--sign", "nonnegative"]) == 0
     out = capsys.readouterr().out
     assert "1 violations (tolerance 1e-10); worst -0.0996558 at (0.5, 4.2)" in out
+
+
+def test_scan_sign_json_counts_every_violation_and_lists_ten(capsys, monkeypatch):
+    made = []
+
+    def record(*args):
+        made.append(SignScanReport(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "SignScanReport", record)
+    args = ["scan", "tee-curvature", "--x", "0.3:0.7:4", "--q", "4:4.25:3", "--sign", "nonnegative"]
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["num_violations"] == 20 and not payload["ok"]
+    assert len(payload["violations"]) == 10
+    assert [(v["x"], v["q"]) for v in payload["violations"][:5]] == [
+        (0.3, 4.0), (0.3, 4.083333333333333), (0.3, 4.166666666666667), (0.3, 4.25),
+        (0.39999999999999997, 4.0),
+    ]
+    # the report holds the ten samples it shows, not one per violation
+    assert len(made[0].violations) == 10 and made[0].num_violations == 20
+    assert main(args) == 0
+    assert "20 violations (tolerance 1e-10); worst -0.104079 at (0.7, 4.25)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sign", [[], ["--sign", "nonnegative"]])
