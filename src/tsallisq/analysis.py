@@ -152,9 +152,9 @@ def curvature_limit_at_max_c(q):
 def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=None):
     """Bisection root finder on a scalar function of q.
 
-    bracket must straddle a sign change.  Each iteration halves the bracket
-    and costs one evaluation, so a bracket of width w takes at most
-    ceil(log2(w / x_tol)) + 2 evaluations.  It stops when |f| <= f_tol at a
+    bracket must straddle a sign change, with f finite at both ends.  Each
+    iteration halves the bracket and costs one evaluation, so a bracket of
+    width w takes at most ceil(log2(w / x_tol)) + 2 evaluations.  It stops when |f| <= f_tol at a
     bracket end or the bracket is no wider than x_tol, and returns the end
     with the smaller |f|.  When trace is a list, the current bracket (lo, hi)
     is appended once per iteration.  Raises ConvergenceError when neither
@@ -162,7 +162,7 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = float(func(a)), float(func(b))
-    if fa * fb > 0.0:
+    if not (math.isfinite(fa) and math.isfinite(fb)) or fa * fb > 0.0:
         raise DomainError(
             f"bracket ({a:g}, {b:g}) does not straddle a sign change "
             f"(f values {fa:.3e}, {fb:.3e})"

@@ -41,6 +41,7 @@ from .measures import (
     as_q,
     concurrence_pure,
     concurrence_two_qubit,
+    tee_2xd,
     tee_from_concurrence_sq,
     tee_pure,
     tee_two_qubit,
@@ -306,17 +307,18 @@ def cmd_tee(args) -> int:
         _emit(args, [f"{value:.6g}"], payload)
         return 0
     if state.num_sites == 2 and 2 in state.dims:
-        qubit_side = 0 if state.dims[0] == 2 else 1
-        roof = roof_concurrence(state, _roof_config(args), party=qubit_side)
-        value = float(tee_from_concurrence_sq(min(roof.value, 1.0) ** 2, qp.q))
+        roof = roof_concurrence(state, _roof_config(args), party=state.dims.index(2))
+        est = tee_2xd(state, qp, roof.value)
+        # T_q is increasing in c, so the concurrence floor maps to a TEE floor
+        lower = tee_2xd(state, qp, roof.lower).value
         payload.update(
             method="roof-2xd",
-            value=value,
-            exact=bool(qp.concave_regime),
+            value=est.value,
+            exact=est.exact,
             roof_concurrence=roof.value,
-            **_roof_fields(roof, args),
+            **(_roof_fields(roof, args) | {"lower": lower, "gap": est.value - lower}),
         )
-        _emit(args, [f"{value:.6g}"], payload)
+        _emit(args, [f"{est.value:.6g}"], payload)
         return 0
     raise DomainError(
         "tee for mixed states supports (2,2) and qubit-qudit bipartitions only"

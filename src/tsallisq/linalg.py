@@ -80,7 +80,8 @@ def _cut_layout(dims, keep, off):
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    """array, made read-only: a cache hands the one array to every caller."""
+    """array, made read-only: a cache or a frozen state hands the one array
+    to every caller."""
     array.flags.writeable = False
     return array
 

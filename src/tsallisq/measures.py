@@ -387,14 +387,15 @@ def tee_two_qubit(rho: DensityMatrix, q, *, force_q: bool = False) -> float:
 
 
 def tee_2xd(rho: DensityMatrix, q, c: float) -> TeeEstimate:
-    """Tsallis-q entanglement of a qubit-qudit state from its roof concurrence c.
+    """Tsallis-q entanglement of a qubit-qudit state, the qubit on either
+    side, from its roof concurrence c.
 
     Exact when q sits in the concave regime; elsewhere the returned value is
     the same formula evaluated as an estimate, flagged exact=False.
     """
     qp = as_q(q)
-    if rho.num_sites != 2 or rho.dims[0] != 2:
-        raise DomainError(f"expected a (2, d) bipartite state, got dims {rho.dims}")
+    if rho.num_sites != 2 or 2 not in rho.dims:
+        raise DomainError(f"expected a qubit-qudit bipartite state, got dims {rho.dims}")
     c = float(c)
     if c < -_EDGE:
         raise DomainError(f"concurrence must be nonnegative, got {c!r}")

@@ -22,6 +22,7 @@ from .measures import (
     _qubit_partners,
     _tee_curve,
     _tee_values,
+    _tsallis_sum,
     _window_q,
     as_q,
     concurrence_pure,
@@ -232,44 +233,34 @@ def w_indicator_closed_form(n: int, q):
     return lhs**2 - (n - 1) * term**2
 
 
-def _no_unit_q(q):
+def _spectra_residual(q, cut, *pairs):
+    """T_q(cut)^2 - sum T_q(pair)^2 through _tsallis_sum, each spectrum an
+    array holding its eigenvalues on the last axis; q (q = 1 included)
+    broadcasts against the other axes.  Scalars in give a float out."""
     qa = _check_q(q)
-    if np.any(qa == 1.0):
-        raise QRangeError("this closed form divides by (q - 1); q = 1 is excluded")
-    return qa
+    qk = float(qa) if qa.ndim == 0 else qa[..., None]
+    out = _residual(_tsallis_sum(cut, qk) ** 2, (_tsallis_sum(p, qk) ** 2 for p in pairs))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def example3_residual(theta, q):
     """Closed-form indicator of the 4x2x2 family, focus on the qudit.
 
     Every branch of the optimal decompositions has the same marginal
-    spectrum, so both pair roofs collapse to constants: with a = 2^(1-q) and
-    b = cos(theta)^(2q) + sin(theta)^(2q) the residual is
-    ((1-ab)^2 - (1-a)^2 - (1-b)^2)/(q-1)^2.  Broadcasts theta against q.
+    spectrum, so both pair roofs collapse to constants: with c = cos^2 theta
+    and s = sin^2 theta the cut spectrum is {c/2, c/2, s/2, s/2} and the
+    pairs' are {1/2, 1/2} and {c, s}.  Broadcasts theta against q.
     """
-    qa = _no_unit_q(q)
-    c2 = np.square(np.cos(theta))
-    s2 = np.square(np.sin(theta))
-    a = 2.0 ** (1.0 - qa)
-    b = c2**qa + s2**qa
-    out = ((1.0 - a * b) ** 2 - (1.0 - a) ** 2 - (1.0 - b) ** 2) / (qa - 1.0) ** 2
-    if np.isscalar(theta) and np.isscalar(q):
-        return float(out)
-    return out
+    c, s = np.square(np.cos(theta)), np.square(np.sin(theta))
+    cut = np.stack([c / 2.0, c / 2.0, s / 2.0, s / 2.0], axis=-1)
+    return _spectra_residual(q, cut, np.array([0.5, 0.5]), np.stack([c, s], axis=-1))
 
 
 def example4_residual(q):
-    """Closed-form indicator of the antisymmetric three-qutrit state.
-
-    ((1 - 3^(1-q))^2 - 2 (1 - 2^(1-q))^2)/(q-1)^2; broadcasts over q.
-    """
-    qa = _no_unit_q(q)
-    out = ((1.0 - 3.0 ** (1.0 - qa)) ** 2 - 2.0 * (1.0 - 2.0 ** (1.0 - qa)) ** 2) / (
-        qa - 1.0
-    ) ** 2
-    if np.isscalar(q):
-        return float(out)
-    return out
+    """Closed-form indicator of the antisymmetric three-qutrit state: the cut
+    spectrum {1/3, 1/3, 1/3} against {1/2, 1/2} twice; broadcasts over q."""
+    half = np.array([0.5, 0.5])
+    return _spectra_residual(q, np.full(3, 1.0 / 3.0), half, half)
 
 
 def example5_residual(q):
@@ -278,13 +269,8 @@ def example5_residual(q):
     The cut term uses the maximally mixed qutrit marginal; each pair roof
     collapses onto the spectrum {0, 1/3, 2/3}.  Broadcasts over q.
     """
-    qa = _no_unit_q(q)
-    cut = (1.0 - 3.0 ** (1.0 - qa)) / (qa - 1.0)
-    pair = (1.0 - (1.0 + 2.0**qa) * 3.0 ** (-qa)) / (qa - 1.0)
-    out = cut**2 - 2.0 * pair**2
-    if np.isscalar(q):
-        return float(out)
-    return out
+    pair = np.array([1.0 / 3.0, 2.0 / 3.0])
+    return _spectra_residual(q, np.full(3, 1.0 / 3.0), pair, pair)
 
 
 def random_biseparable_mixture(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, StateFormatError
-from .linalg import _bipartition, _check_keep, _sq_norms, partial_trace
+from .linalg import _bipartition, _check_keep, _read_only, _sq_norms, partial_trace
 
 MAX_TOTAL_DIM = 64
 
@@ -27,12 +27,6 @@ def _check_dims(dims) -> tuple[int, ...]:
     if total > MAX_TOTAL_DIM:
         raise DomainError(f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIM}")
     return dims
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +48,7 @@ class PureState:
         if abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(f"state vector norm is {norm:.12g}, expected 1")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", _read_only(np.array(amps, dtype=complex)))
 
     @property
     def num_sites(self) -> int:
@@ -105,7 +99,7 @@ class DensityMatrix:
         if low < -_NEG_EIG_TOL:
             raise DomainError(f"density matrix has negative eigenvalue {low:.3e}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", _read_only(np.array(mat, dtype=complex)))
 
     @property
     def dim(self) -> int:

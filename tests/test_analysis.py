@@ -195,6 +195,19 @@ def test_find_root_requires_bracket():
         find_root_q(lambda t: t * t + 1.0, (0.0, 1.0))
 
 
+def test_find_root_refuses_a_nan_bracket_end():
+    # NaN * f(b) > 0 is False, so a NaN end once passed as a sign change and
+    # the bisection returned a point where f = 0.7
+    def func(t):
+        return math.nan if t == 0.0 else t - 0.3
+
+    for bracket in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError):
+            find_root_q(func, bracket)
+    with pytest.raises(DomainError):
+        find_root_q(lambda t: math.inf if t == 1.0 else t - 0.3, (0.0, 1.0))
+
+
 def test_find_root_trace_brackets_shrink():
     trace = []
     root = find_root_q(lambda t: math.cos(t) - t, (0.0, 1.5), trace=trace)

@@ -12,6 +12,7 @@ from tsallisq import (
     random_biseparable_mixture,
     random_pure_state,
     save_state,
+    tee_from_concurrence_sq,
     w_indicator_closed_form,
 )
 from tsallisq import cli
@@ -176,8 +177,23 @@ def test_roof_json_reports_the_bracket(tmp_path, capsys):
     assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
     tee = json.loads(capsys.readouterr().out)
     assert tee["method"] == "roof-2xd" and ROOF_KEYS <= tee.keys()
-    assert tee["lower"] == conc["lower"] and tee["roof_concurrence"] == conc["c"]
-    assert tee["gap"] == tee["roof_concurrence"] - tee["lower"]
+    # the tee bracket is the concurrence bracket mapped through the TEE curve
+    assert tee["roof_concurrence"] == conc["c"]
+    assert tee["lower"] == tee_from_concurrence_sq(conc["lower"] ** 2, 2.0)
+    assert tee["gap"] == tee["value"] - tee["lower"]
+
+
+def test_tee_json_bracket_is_in_tee_units(tmp_path, capsys):
+    # a rank-2 qubit x qutrit mixture whose concurrence floor (0.496) lies
+    # above its TEE value (0.174): lower must bracket the TEE, not the roof c
+    rng = np.random.default_rng(5)
+    mats = [random_pure_state((2, 3), rng).to_density().matrix for _ in range(2)]
+    path = tmp_path / "q23.json"
+    save_state(DensityMatrix((2, 3), 0.6 * mats[0] + 0.4 * mats[1]), path)
+    assert main(["tee", str(path), "--q", "2", "--restarts", "8", "--json"]) == 0
+    tee = json.loads(capsys.readouterr().out)
+    assert tee["exact"] and 0.0 < tee["lower"] <= tee["value"]
+    assert tee["gap"] == tee["value"] - tee["lower"]
 
 
 def test_indicator_json_reports_stop_reason(tmp_path, capsys, rng):

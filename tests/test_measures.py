@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from tsallisq import (
     DomainError,
     PureState,
     QRangeError,
+    RoofConfig,
     as_q,
     binary_entropy,
     concurrence_pure,
@@ -21,6 +23,8 @@ from tsallisq import (
     ef_two_qubit,
     ghz,
     random_pure_state,
+    roof_concurrence,
+    save_state,
     tee_2xd,
     tee_from_concurrence_sq,
     tee_pure,
@@ -29,6 +33,7 @@ from tsallisq import (
     w_state,
 )
 from tsallisq.analysis import tee_curvature, tee_curvature_wrt_c, tee_sq_curvature
+from tsallisq.cli import main
 from tsallisq.measures import _caf_bound, _pair_concurrence_sq, _pair_gather
 from tsallisq.roof import concurrence_cost, tee_cost
 
@@ -438,7 +443,7 @@ def test_ef_two_qubit_bell(bell):
     assert ef_two_qubit(bell.to_density()) == pytest.approx(LN2, abs=1e-10)
 
 
-def test_tee_2xd_flags_and_gate():
+def test_tee_2xd_flags_and_gate(tmp_path, capsys):
     dm = DensityMatrix((2, 3), np.eye(6) / 6)
     est = tee_2xd(dm, 2.0, 0.5)
     assert est.exact and est.value == pytest.approx(0.125, abs=1e-12)
@@ -446,8 +451,20 @@ def test_tee_2xd_flags_and_gate():
     assert est.exact is False
     with pytest.raises(DomainError):
         tee_2xd(dm, 2.0, 1.2)
+    # the qubit may sit on either side; a qutrit pair has no qubit cut
+    flipped = tee_2xd(DensityMatrix((3, 2), np.eye(6) / 6), 2.0, 0.5)
+    assert flipped == tee_2xd(dm, 2.0, 0.5)
     with pytest.raises(DomainError):
-        tee_2xd(DensityMatrix((3, 2), np.eye(6) / 6), 2.0, 0.5)
+        tee_2xd(DensityMatrix((3, 3), np.eye(9) / 9), 2.0, 0.5)
+    # the CLI's qubit-qudit route is tee_2xd on the roof of the qubit side
+    rng = np.random.default_rng(7)
+    mats = [random_pure_state((3, 2), rng).to_density().matrix for _ in range(2)]
+    rho = DensityMatrix((3, 2), 0.6 * mats[0] + 0.4 * mats[1])
+    save_state(rho, tmp_path / "q32.json")
+    assert main(["tee", str(tmp_path / "q32.json"), "--q", "2", "--restarts", "4", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["value"]
+    roof = roof_concurrence(rho, RoofConfig(restarts=4, seed=42), party=1)
+    assert got == tee_2xd(rho, 2.0, roof.value).value
 
 
 def test_tee_pure_ghz_across_any_cut():

@@ -321,13 +321,22 @@ def test_example5_root_position():
     assert root == pytest.approx(EXAMPLE5_ROOT, abs=1e-9)
 
 
-@pytest.mark.parametrize("func", [example3_residual, example4_residual, example5_residual])
-def test_examples_reject_unit_q(func):
-    with pytest.raises(QRangeError):
-        if func is example3_residual:
-            func(0.3, 1.0)
-        else:
-            func(1.0)
+def test_examples_reach_their_von_neumann_values():
+    # at q = 1 each residual is S(cut)^2 - sum S(pair)^2 in nats
+    ln2, ln3 = math.log(2.0), math.log(3.0)
+    cases = (
+        (lambda q: example3_residual(np.pi / 4, q), 2.0 * ln2**2),
+        (example4_residual, ln3**2 - 2.0 * ln2**2),
+        (example5_residual, ln3**2 - 2.0 * (ln3 - 2.0 * ln2 / 3.0) ** 2),
+    )
+    for func, closed in cases:
+        at_one = func(1.0)
+        assert isinstance(at_one, float)
+        assert abs(at_one - closed) <= 1e-15
+        for q in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert abs(func(q) - at_one) <= 1e-8
+        # the array route takes q = 1 inside a grid as well
+        assert func(np.array([1.0, 2.0])) == pytest.approx([at_one, func(2.0)], abs=1e-15)
 
 
 def test_example3_matches_roof_route(quick_roof):
