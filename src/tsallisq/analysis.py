@@ -154,11 +154,11 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
 
     bracket must straddle a sign change, with f finite at both ends.  Each
     iteration halves the bracket and costs one evaluation, so a bracket of
-    width w takes at most ceil(log2(w / x_tol)) + 2 evaluations.  It stops when |f| <= f_tol at a
-    bracket end or the bracket is no wider than x_tol, and returns the end
-    with the smaller |f|.  When trace is a list, the current bracket (lo, hi)
-    is appended once per iteration.  Raises ConvergenceError when neither
-    tolerance is met within max_iter iterations.
+    width w takes at most ceil(log2(w / x_tol)) + 2 evaluations.  It stops
+    when |f| <= f_tol at a bracket end or the bracket is no wider than
+    x_tol, and returns the end with the smaller |f|.  When trace is a list,
+    the current bracket (lo, hi) is appended once per iteration.  Raises
+    ConvergenceError when neither tolerance is met in max_iter iterations.
     """
     a, b = float(bracket[0]), float(bracket[1])
     fa, fb = float(func(a)), float(func(b))

@@ -196,8 +196,8 @@ def test_find_root_requires_bracket():
 
 
 def test_find_root_refuses_a_nan_bracket_end():
-    # NaN * f(b) > 0 is False, so a NaN end once passed as a sign change and
-    # the bisection returned a point where f = 0.7
+    # NaN * f(b) > 0 is False, so the sign test alone would let a NaN end
+    # through, and the bisection would return a point where f = 0.7
     def func(t):
         return math.nan if t == 0.0 else t - 0.3
 

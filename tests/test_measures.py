@@ -460,8 +460,9 @@ def test_tee_2xd_flags_and_gate(tmp_path, capsys):
     rng = np.random.default_rng(7)
     mats = [random_pure_state((3, 2), rng).to_density().matrix for _ in range(2)]
     rho = DensityMatrix((3, 2), 0.6 * mats[0] + 0.4 * mats[1])
-    save_state(rho, tmp_path / "q32.json")
-    assert main(["tee", str(tmp_path / "q32.json"), "--q", "2", "--restarts", "4", "--json"]) == 0
+    path = tmp_path / "q32.json"
+    save_state(rho, path)
+    assert main(["tee", str(path), "--q", "2", "--restarts", "4", "--json"]) == 0
     got = json.loads(capsys.readouterr().out)["value"]
     roof = roof_concurrence(rho, RoofConfig(restarts=4, seed=42), party=1)
     assert got == tee_2xd(rho, 2.0, roof.value).value
