@@ -11,10 +11,11 @@ Three second derivatives drive everything the package claims about monogamy:
 * tee_curvature        - d^2/dx^2 of f(x).  Sign alternates between the two
   concave q-bands and the middle band (2, 3).
 
-All three broadcast over arrays and return exact one-sided limits at x = 0
-and x = 1 (some are infinite).  Each is one formula in q: the power
-difference that would cancel near q = 1 enters as a difference of
-q-logarithms, so q = 1 needs no separate von Neumann branch.
+They are f'', 2 f'^2 + 2 f f'' and 2 f' + 4 x f'' of one slope kernel,
+_slopes, so all three broadcast over arrays and take its exact one-sided
+limits at x = 0 and x = 1 (some are infinite).  The kernel is one formula in
+q: the power difference that would cancel near q = 1 enters as a difference
+of q-logarithms, so q = 1 needs no separate von Neumann branch.
 """
 
 from __future__ import annotations
@@ -33,51 +34,47 @@ from .measures import (
     _check_q,
     _check_xq,
     _qlog,
-    tee_from_concurrence_sq,
+    _tee_curve,
 )
 
 
-def _powers(X, Q):
-    """s = sqrt(1-x) and, with A = 1+s and B = 1-s = x/A (cancellation-free),
-    the two power combinations the curvature formulas share:
-    D1 = (A^(q-1) - B^(q-1))/(q-1), taken as a difference of q-logarithms so
-    it stays exact through q = 1 (where it is ln(A/B)), and
-    d0 = A^(q-2) + B^(q-2)."""
-    s = np.sqrt(1.0 - X)
-    A = 1.0 + s
-    B = X / A
-    D1 = _qlog(A, Q)
-    D1 -= _qlog(B, Q)
-    d0 = A ** (Q - 2.0) + B ** (Q - 2.0)
-    return s, D1, d0
+def _slopes(X, Q):
+    """f' and f'' of the squared-concurrence-to-TEE map f on checked x and q
+    that broadcast against each other.  With s = sqrt(1-x), A = 1+s,
+    B = 1-s = x/A (cancellation-free), D1 = (A^(q-1) - B^(q-1))/(q-1) as a
+    difference of q-logarithms (ln(A/B) at q = 1) and d0 = A^(q-2) + B^(q-2),
+    f' = q D1/(2^(q+1) s) and f'' = q/2^(q+2) (D1/s^3 - d0/s^2) inside (0, 1).
+    The one-sided limits are f' = q/(4(q-1)) at x = 0 for q > 1 (+inf
+    otherwise), f' = q/2^q at x = 1, and for f'' those tee_curvature states."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(1.0 - X)
+        A = 1.0 + s
+        B = X / A
+        D1 = _qlog(A, Q) - _qlog(B, Q)
+        d0 = A ** (Q - 2.0) + B ** (Q - 2.0)
+        c2 = Q / 2.0 ** (Q + 2.0)
+        f1 = 2.0 * c2 * D1 / s
+        f2 = c2 * (D1 / (1.0 - X) ** 1.5 - d0 / (1.0 - X))
+        if np.any(zero := X == 0.0):
+            f1 = np.where(zero, np.where(Q > 1.0, Q / (4.0 * (Q - 1.0)), np.inf), f1)
+            above = np.where(Q > 2.0, Q * (3.0 - Q) / (16.0 * (Q - 1.0)), 0.0)
+            f2 = np.where(zero, np.where(Q >= 2.0, above, -np.inf), f2)
+        if np.any(one := X == 1.0):
+            f1 = np.where(one, Q / 2.0**Q, f1)
+            f2 = np.where(one, -Q * (Q - 2.0) * (Q - 3.0) / (3.0 * 2.0 ** (Q + 1.0)), f2)
+    return f1, f2
 
 
-def _interior_curvature(X, Q, D1, d0):
-    """d^2/dx^2 of the squared-concurrence-to-TEE map for 0 < x < 1."""
-    return Q / 2.0 ** (Q + 2.0) * (D1 / (1.0 - X) ** 1.5 - d0 / (1.0 - X))
+def _times_f2(a, f2):
+    """a f'', counted as 0 where a = 0 (at x = 0 f'' is -inf for q < 2)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(a == 0.0, 0.0, a * f2)
 
 
-def _curvature_at_one(Q):
-    """d^2/dx^2 of the squared-concurrence-to-TEE map at x = 1."""
-    return -Q * (Q - 2.0) * (Q - 3.0) / (3.0 * 2.0 ** (Q + 1.0))
-
-
-def _regions(x, q, interior, at_zero, at_one):
-    """One curvature on the broadcast of x and q: interior(X, Q) where
-    0 < x < 1, and the one-sided limits at_zero(Q) at x = 0 and at_one(Q) at
-    x = 1.  Scalars in, scalar out."""
-    scalar_in = np.isscalar(x) and np.isscalar(q)
-    X, Q = (a.astype(float) for a in np.broadcast_arrays(*_check_xq(x, q)))
-    out = np.empty(X.shape, dtype=float)
-    inner = (X > 0.0) & (X < 1.0)
-    if np.any(inner):
-        out[inner] = interior(X[inner], Q[inner])
-    for edge, limit in ((X == 0.0, at_zero), (X == 1.0, at_one)):
-        if np.any(edge):
-            out[edge] = limit(Q[edge])
-    if scalar_in:
-        return float(out.reshape(()))
-    return out
+def _curvature(x, q, compose):
+    """compose(X, Q) on the checked x and q; scalars in, scalar out."""
+    out = compose(*_check_xq(x, q))
+    return float(out) if np.isscalar(x) and np.isscalar(q) else np.asarray(out)
 
 
 def tee_curvature(x, q):
@@ -86,15 +83,7 @@ def tee_curvature(x, q):
     At x = 0 the curvature diverges to -inf for q < 2 (q = 2 gives 0,
     q > 2 gives q(3-q)/(16(q-1))); at x = 1 it is -q(q-2)(q-3)/(3 2^(q+1)).
     """
-    def interior(X, Q):
-        _, D1, d0 = _powers(X, Q)
-        return _interior_curvature(X, Q, D1, d0)
-
-    def at_zero(Q):
-        above = Q * (3.0 - Q) / (16.0 * np.where(Q > 2.0, Q - 1.0, 1.0))
-        return np.where(Q > 2.0, above, np.where(Q == 2.0, 0.0, -np.inf))
-
-    return _regions(x, q, interior, at_zero, _curvature_at_one)
+    return _curvature(x, q, lambda X, Q: _slopes(X, Q)[1])
 
 
 def tee_sq_curvature(x, q):
@@ -103,20 +92,12 @@ def tee_sq_curvature(x, q):
     Decomposes as 2 f'^2 + 2 f f''.  At x = 0 the value is q^2/(8(q-1)^2)
     for q > 1 and +inf for q <= 1 (a real divergence, not overflow).
     """
-    def interior(X, Q):
-        _, D1, d0 = _powers(X, Q)
-        f = tee_from_concurrence_sq(X, Q)
-        slope_sq = Q**2 * D1**2 / (2.0 ** (2.0 * Q + 1.0) * (1.0 - X))
-        return slope_sq + 2.0 * f * _interior_curvature(X, Q, D1, d0)
+    def compose(X, Q):
+        f1, f2 = _slopes(X, Q)
+        f = _tee_curve(X, float(Q) if Q.ndim == 0 else Q[..., None])
+        return 2.0 * f1**2 + 2.0 * _times_f2(f, f2)
 
-    def at_zero(Q):
-        return np.where(Q > 1.0, Q**2 / (8.0 * np.where(Q > 1.0, Q - 1.0, 1.0) ** 2), np.inf)
-
-    def at_one(Q):
-        slope_sq = 2.0 * Q**2 / 4.0**Q
-        return slope_sq + 2.0 * -_qlog(0.5, Q) * _curvature_at_one(Q)
-
-    return _regions(x, q, interior, at_zero, at_one)
+    return _curvature(x, q, compose)
 
 
 def tee_curvature_wrt_c(q, c):
@@ -126,15 +107,11 @@ def tee_curvature_wrt_c(q, c):
     toward the maximally entangled state can overshoot the roof; its limit
     there is curvature_limit_at_max_c(q).
     """
-    def interior(C, Q):
-        X = C**2
-        s, D1, d0 = _powers(X, Q)
-        return Q / 2.0**Q * (D1 / s**3 - X * d0 / s**2)
+    def compose(C, Q):
+        f1, f2 = _slopes(C**2, Q)
+        return 2.0 * f1 + _times_f2(4.0 * C**2, f2)
 
-    def at_zero(Q):
-        return np.where(Q > 1.0, Q / (2.0 * np.where(Q > 1.0, Q - 1.0, 1.0)), np.inf)
-
-    return _regions(c, q, interior, at_zero, curvature_limit_at_max_c)
+    return _curvature(c, q, compose)
 
 
 def curvature_limit_at_max_c(q):

@@ -682,7 +682,11 @@ def _suite_examples(seed: int) -> list[dict]:
     qs = np.linspace(1.01, 4.30, 30)
     values = example3_residual(thetas[:, None], qs[None, :])
     report = SignScanReport("example3", ("theta", "q"), (thetas, qs), values, "nonnegative", 1e-9)
-    (theta, q), worst = report._worst.point, report._worst.value
+    # grid and residual are symmetric under theta <-> pi/2 - theta, so mirror
+    # points tie to rounding: name the smallest theta within 1e-12 of the minimum
+    worst = report.min_value
+    i, j = np.argwhere(values <= worst + 1e-12 * abs(worst))[0]
+    theta, q = thetas[i], qs[j]
     checks.append(
         _check(
             "example3-grid-nonnegative",

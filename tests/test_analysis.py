@@ -130,6 +130,44 @@ def test_tee_sq_curvature_divergence_at_zero():
     assert tee_sq_curvature(0.0, 0.8) == math.inf
 
 
+@pytest.mark.parametrize("q", [0.8, 1.0, 2.0, 3.5])
+def test_curvature_wrt_c_tiny_c_takes_the_c0_limit(q):
+    # c > 0 whose square underflows to 0 is the c = 0 limit, not 0 * inf
+    assert tee_curvature_wrt_c(q, 1e-170) == tee_curvature_wrt_c(q, 0.0)
+
+
+def _edge_closed_forms(q):
+    """(x or c, tee_curvature, tee_sq_curvature, tee_curvature_wrt_c) at 0 and 1."""
+    f_one = math.log(2.0) if q == 1.0 else (1.0 - 2.0 ** (1.0 - q)) / (q - 1.0)
+    fpp_one = -q * (q - 2.0) * (q - 3.0) / (3.0 * 2.0 ** (q + 1.0))
+    if q < 2.0:
+        fpp_zero = -math.inf
+    else:
+        fpp_zero = 0.0 if q == 2.0 else q * (3.0 - q) / (16.0 * (q - 1.0))
+    at_zero = (
+        fpp_zero,
+        q * q / (8.0 * (q - 1.0) ** 2) if q > 1.0 else math.inf,
+        q / (2.0 * (q - 1.0)) if q > 1.0 else math.inf,
+    )
+    at_one = (
+        fpp_one,
+        2.0 * q * q / 4.0**q + 2.0 * f_one * fpp_one,
+        -q * (q * q - 5.0 * q + 3.0) / (3.0 * 2.0 ** (q - 1.0)),
+    )
+    return [(0.0, *at_zero), (1.0, *at_one)]
+
+
+@pytest.mark.parametrize("q", [0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.25])
+def test_curvature_edges_match_closed_forms(q):
+    for t, curv, sq, wrt_c in _edge_closed_forms(q):
+        got = (tee_curvature(t, q), tee_sq_curvature(t, q), tee_curvature_wrt_c(q, t))
+        for value, expect in zip(got, (curv, sq, wrt_c)):
+            if math.isinf(expect) or expect == 0.0:
+                assert value == expect, (t, q)
+            else:
+                assert value == pytest.approx(expect, rel=1e-14, abs=0.0), (t, q)
+
+
 def test_curvatures_broadcast_and_scalar():
     out = tee_curvature(np.linspace(0, 1, 5), np.array([[2.0], [4.0]]))
     assert out.shape == (2, 5)

@@ -399,6 +399,24 @@ def test_verify_examples_fails_by_design(capsys):
     assert "FAIL examples/example3-grid-nonnegative" in out
 
 
+def test_verify_examples_names_the_smaller_of_two_tied_thetas(capsys, monkeypatch):
+    # theta = 0.7534 and its mirror 0.8174 tie to rounding at q = 3.3924;
+    # raising the 0.7534 value by one ulp must not move the named point
+    residual = cli.example3_residual
+
+    def nudged(thetas, qs):
+        values = residual(thetas, qs)
+        i, j = np.argwhere(np.isclose(thetas, 0.7534, atol=5e-5) & np.isclose(qs, 3.3924, atol=5e-5))[0]
+        values[i, j] = np.nextafter(values[i, j], np.inf)
+        return values
+
+    monkeypatch.setattr(cli, "example3_residual", nudged)
+    assert main(["verify", "examples"]) == 3
+    out = capsys.readouterr().out
+    line = "FAIL examples/example3-grid-nonnegative: min residual -0.0660406 at theta=0.7534, q=3.3924"
+    assert line in out.splitlines()
+
+
 VERIFY_INVENTORY = [
     ("appendix-a", "critical-q-roots"),
     ("appendix-a", "limit-sign-change"),
