@@ -682,16 +682,14 @@ def _suite_examples(seed: int) -> list[dict]:
     qs = np.linspace(1.01, 4.30, 30)
     values = example3_residual(thetas[:, None], qs[None, :])
     report = SignScanReport("example3", ("theta", "q"), (thetas, qs), values, "nonnegative", 1e-9)
-    # grid and residual are symmetric under theta <-> pi/2 - theta, so mirror
-    # points tie to rounding: name the smallest theta within 1e-12 of the minimum
+    # mirror points theta, pi/2 - theta tie to rounding: name the smaller one
     worst = report.min_value
     i, j = np.argwhere(values <= worst + 1e-12 * abs(worst))[0]
-    theta, q = thetas[i], qs[j]
     checks.append(
         _check(
             "example3-grid-nonnegative",
             report.ok,
-            f"min residual {worst:.6g} at theta={theta:.4f}, q={q:.4f}",
+            f"min residual {worst:.6g} at theta={thetas[i]:.4f}, q={qs[j]:.4f}",
         )
     )
     phis = np.array([math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0, 2.0 * math.pi])
