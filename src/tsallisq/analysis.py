@@ -46,10 +46,12 @@ def _slopes(X, Q):
     f' = q D1/(2^(q+1) s) and f'' = q/2^(q+2) (D1/s^3 - d0/s^2) inside (0, 1).
     The one-sided limits are f' = q/(4(q-1)) at x = 0 for q > 1 (+inf
     otherwise), f' = q/2^q at x = 1, and for f'' those tee_curvature states."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.sqrt(1.0 - X)
         A = 1.0 + s
-        B = X / A
+        # x/A rounds to 0 at x = 5e-324; for q < 2 (d0 overflows there either
+        # way) B stays the least subnormal, so that D1 stays finite
+        B = np.maximum(X / A, np.where(Q < 2.0, 5e-324, 0.0))
         D1 = _qlog(A, Q) - _qlog(B, Q)
         d0 = A ** (Q - 2.0) + B ** (Q - 2.0)
         c2 = Q / 2.0 ** (Q + 2.0)
@@ -65,10 +67,16 @@ def _slopes(X, Q):
     return f1, f2
 
 
-def _times_f2(a, f2):
-    """a f'', counted as 0 where a = 0 (at x = 0 f'' is -inf for q < 2)."""
+def _times_f2(a, f2, X, Q):
+    """a f'' for an a of order x, counted as 0 where a = 0 (at x = 0 f'' is
+    -inf for q < 2).  Where d0 overflows (x < 1e-154, q < 2), x f'' is
+    -q/2^(q+2) A B^(q-1) = -q x^(q-1)/4^q to the last bit, though f'' is not."""
     with np.errstate(invalid="ignore"):
-        return np.where(a == 0.0, 0.0, a * f2)
+        out = np.where(a == 0.0, 0.0, a * f2)
+    if np.any(bad := ~np.isfinite(out)):
+        x, q, a = (np.broadcast_to(v, out.shape)[bad] for v in (X, Q, a))
+        out[bad] = -(a / x) * q * x ** (q - 1.0) / 4.0**q
+    return out
 
 
 def _curvature(x, q, compose):
@@ -95,7 +103,7 @@ def tee_sq_curvature(x, q):
     def compose(X, Q):
         f1, f2 = _slopes(X, Q)
         f = _tee_curve(X, float(Q) if Q.ndim == 0 else Q[..., None])
-        return 2.0 * f1**2 + 2.0 * _times_f2(f, f2)
+        return 2.0 * f1**2 + 2.0 * _times_f2(f, f2, X, Q)
 
     return _curvature(x, q, compose)
 
@@ -108,8 +116,8 @@ def tee_curvature_wrt_c(q, c):
     there is curvature_limit_at_max_c(q).
     """
     def compose(C, Q):
-        f1, f2 = _slopes(C**2, Q)
-        return 2.0 * f1 + _times_f2(4.0 * C**2, f2)
+        f1, f2 = _slopes(X := C**2, Q)
+        return 2.0 * f1 + _times_f2(4.0 * X, f2, X, Q)
 
     return _curvature(c, q, compose)
 

@@ -27,6 +27,9 @@ A caller that knows a proven lower bound of the roof of the input may pass it
 as floor: the batch then stops as soon as some restart comes within tolerance
 of it, since no decomposition can do better.  The floor only decides when to
 stop; the reported value is still recomputed from the decomposition found.
+Without a floor the batch ends at the sweep where its best restart stops: a
+stopped restart keeps its value and a running one only goes down, so the rest
+could change the answer only by overtaking it.
 
 Results are deterministic for a fixed seed: restart k draws the same initial
 point no matter how many restarts follow it.
@@ -104,8 +107,9 @@ class RoofResult:
     than tolerance), "step" (step size collapsed below 1e-10), "cap"
     (max_iterations reached) or "exact" (rank-1 input, nothing to optimize).
     cost_calls counts every call of the cost, the final recompute included;
-    agreeing_restarts counts the restarts whose final value lies within
-    tolerance of the winner's (1 for rank-1 input).
+    agreeing_restarts counts the restarts whose last value, where the batch
+    ended for those it abandoned, lies within tolerance of the winner's (1 for
+    rank-1 input).
     """
 
     value: float
@@ -261,7 +265,9 @@ def minimize_roof(
     the cost on every pure state is one).  Once the best restart's ensemble
     average is within config.tolerance of it, no decomposition can improve by
     more than that, so the whole batch stops and the winner reports
-    stop_reason "floor".
+    stop_reason "floor".  Without a floor the batch stops when its best restart
+    stops on "tolerance" or "step"; since the rest are abandoned, not run out,
+    more restarts can on rare inputs read slightly higher.
     """
     cfg = config or RoofConfig()
     lam, basis = _eigenbasis(rho)
@@ -306,11 +312,13 @@ def minimize_roof(
     streak = np.zeros(n_restart, dtype=int)
     iters = np.zeros(n_restart, dtype=int)
     stopped = np.zeros(n_restart, dtype=bool)
-    reason = np.full(n_restart, "cap", dtype=object)
-    at_floor = floor is not None and current.min() <= floor + cfg.tolerance
 
-    for _ in range(cfg.max_iterations):
-        if at_floor or stopped.all():
+    while True:
+        at_floor = floor is not None and current.min() <= floor + cfg.tolerance
+        # without a floor the batch is over once its best restart stops: the
+        # rest only go down, so they matter only if one of them overtakes it
+        settled = stopped.all() if floor is not None else stopped[np.argmin(current)]
+        if at_floor or settled or iters.max() == cfg.max_iterations:
             break
         # the running restarts: the whole batch, as views, until one stops
         run = np.nonzero(~stopped)[0] if stopped.any() else slice(None)
@@ -327,24 +335,14 @@ def minimize_roof(
         streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[run] *= np.where(took, 1.3, 0.4)
         iters[run] += 1
-
-        at_floor = floor is not None and current.min() <= floor + cfg.tolerance
-        if at_floor:
-            break
-        collapsed = alpha < 1e-10
-        settled = streak >= 4
-        ended = (collapsed | settled) & ~stopped
-        if ended.any():
-            reason[ended & collapsed] = "step"
-            reason[ended & settled] = "tolerance"
-            stopped |= ended
-
-    if at_floor:
-        # the rest of the batch is abandoned, not run to the cap
-        reason[~stopped] = "floor"
-        stopped[:] = True
+        stopped |= (alpha < 1e-10) | (streak >= 4)
 
     best = int(np.argmin(current))
+    # a stopped restart's streak and step size no longer change
+    reason = "tolerance" if streak[best] >= 4 else "step"
+    reason = "floor" if at_floor else reason if stopped[best] else "cap"
+    if at_floor or settled:  # the rest of the batch is abandoned, not run to the cap
+        stopped[:] = True
     decomposition = _ensemble_from_members(dims, mats[best] @ b_mat)
     states = np.stack([p.amplitudes for _, p in decomposition.members])
     weights = np.array([w for w, _ in decomposition.members])
@@ -354,7 +352,7 @@ def minimize_roof(
         decomposition=decomposition,
         converged=bool(stopped[best]),
         iterations=int(iters[best]),
-        stop_reason=str(reason[best]),
+        stop_reason=reason,
         lower=floor,
         cost_calls=int(iters.max()) + 2,  # the first, one a sweep, the recompute
         agreeing_restarts=int((current <= current[best] + cfg.tolerance).sum()),

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,50 @@ def test_tee_sq_curvature_divergence_at_zero():
 def test_curvature_wrt_c_tiny_c_takes_the_c0_limit(q):
     # c > 0 whose square underflows to 0 is the c = 0 limit, not 0 * inf
     assert tee_curvature_wrt_c(q, 1e-170) == tee_curvature_wrt_c(q, 0.0)
+
+
+# mpmath at 900 digits of d^2/dc^2 f(c^2) at c = 1e-150, 1e-140, ..., 1e-90
+# and of d^2/dx^2 f(x)^2 at x = 1e-304, 1e-295, ..., 1e-250, from
+# f' = q D1/(2^(q+1) s) and f'' = q/2^(q+2) (D1/s^3 - d0/s^2) on the exact input
+_TINY_REFS = {
+    0.8: (
+        [1.583409492927425e60, 1.5834094929274284e56, 1.5834094929274314e52,
+         1.5834094929274347e48, 1.583409492927438e44, 1.5834094929274413e40,
+         1.5834094929274444e36],
+        [1.0397172647326556e122, 2.6116516898882163e118, 6.560172443659289e114,
+         1.647840814959084e111, 4.13918898438342e107, 1.039717264732665e104,
+         2.6116516898882402e100],
+    ),
+    1.0: (
+        [345.0809111296668, 322.0550601997263, 299.0292092697859, 276.0033583398454,
+         252.97750740990497, 229.95165647996453, 206.92580555002405],
+        None,
+    ),
+    1.5: ([1.5] * 7, [1.125] * 7),
+}
+
+
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.5])
+def test_curvatures_stay_finite_for_tiny_positive_x(q):
+    # d0 = A^(q-2) + B^(q-2) overflows for tiny x > 0 and q < 2, while
+    # 2 f' + 4 x f'' and 2 f'^2 + 2 f f'' are finite, of order x^(q-1) and
+    # x^(2q-2).  c whose square underflows to 0 is the c = 0 limit (pinned
+    # above).  Below the normal range x and c^2 round to few bits, so only
+    # finiteness is asserted there.  At q = 1 tee_sq_curvature carries the
+    # cancellation in f itself (about 3e-6 relative here, ROADMAP item 3), so
+    # only its finiteness is asserted.
+    c = np.logspace(-170, -90, 801)
+    x = np.logspace(-323, -250, 801)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(tee_curvature_wrt_c(q, c[c * c > 0.0])))
+        assert np.all(np.isfinite(tee_sq_curvature(x, q)))
+        c_refs, x_refs = _TINY_REFS[q]
+        got = tee_curvature_wrt_c(q, np.logspace(-150, -90, 7))
+        np.testing.assert_allclose(got, c_refs, rtol=1e-13, atol=0.0)
+        if x_refs is not None:
+            got = tee_sq_curvature(np.logspace(-304, -250, 7), q)
+            np.testing.assert_allclose(got, x_refs, rtol=1e-13, atol=0.0)
 
 
 def _edge_closed_forms(q):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -512,3 +515,19 @@ def test_json_output_sorted_keys(capsys):
     payload = capsys.readouterr().out
     data = json.loads(payload)
     assert list(data.keys()) == sorted(data.keys())
+
+
+def test_python_dash_m_package_runs_the_cli():
+    # `python -m tsallisq` and `python -m tsallisq.cli` are the same command line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "verify", "appendix-a"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        for module in ("tsallisq", "tsallisq.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != ""
