@@ -49,8 +49,7 @@ def _slopes(X, Q):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.sqrt(1.0 - X)
         A = 1.0 + s
-        # x/A rounds to 0 at x = 5e-324; for q < 2 (d0 overflows there either
-        # way) B stays the least subnormal, so that D1 stays finite
+        # x/A is 0 at x = 5e-324: keep D1 finite there (d0 overflows for q < 2)
         B = np.maximum(X / A, np.where(Q < 2.0, 5e-324, 0.0))
         D1 = _qlog(A, Q) - _qlog(B, Q)
         d0 = A ** (Q - 2.0) + B ** (Q - 2.0)
@@ -69,8 +68,8 @@ def _slopes(X, Q):
 
 def _times_f2(a, f2, X, Q):
     """a f'' for an a of order x, counted as 0 where a = 0 (at x = 0 f'' is
-    -inf for q < 2).  Where d0 overflows (x < 1e-154, q < 2), x f'' is
-    -q/2^(q+2) A B^(q-1) = -q x^(q-1)/4^q to the last bit, though f'' is not."""
+    -inf for q < 2).  Where d0 overflows (x < 1e-154, q < 2) and takes f''
+    with it, x f'' is still -q/2^(q+2) A B^(q-1) = -q x^(q-1)/4^q to rounding."""
     with np.errstate(invalid="ignore"):
         out = np.where(a == 0.0, 0.0, a * f2)
     if np.any(bad := ~np.isfinite(out)):
