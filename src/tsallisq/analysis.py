@@ -56,6 +56,10 @@ def _slopes(X, Q):
         c2 = Q / 2.0 ** (Q + 2.0)
         f1 = 2.0 * c2 * D1 / s
         f2 = c2 * (D1 / (1.0 - X) ** 1.5 - d0 / (1.0 - X))
+        if np.any(big := ~np.isfinite(d0)):
+            # d0 overflows (x < 1e-154, so 1 - x = 1) before c2 d0 does: fold c2 into B's power
+            c2d0 = c2 * A ** (Q - 2.0) + (B * c2 ** (1.0 / (Q - 2.0))) ** (Q - 2.0)
+            f2 = np.where(big, c2 * D1 - c2d0, f2)
         if np.any(zero := X == 0.0):
             f1 = np.where(zero, np.where(Q > 1.0, Q / (4.0 * (Q - 1.0)), np.inf), f1)
             above = np.where(Q > 2.0, Q * (3.0 - Q) / (16.0 * (Q - 1.0)), 0.0)

@@ -19,9 +19,10 @@ the normalization, grad t = 2 f phi_i + sqrt(w) (grad f - Re<psi, grad f> psi),
 gives dF/dphi for every cost; G = (dF/dphi) B^dagger is the gradient in V, and
 its pullback through Gram-Schmidt at an isometry, where R = I, is G - V H with
 H Hermitian (see _ensemble_gradient; Edelman, Arias & Smith, SIAM J. Matrix
-Anal. Appl. 20, 303 (1998)).  So one cost call per sweep, over the candidates
-of every running restart, yields their values and the gradients at the points
-it accepts; a rejected step keeps its point and its gradient.
+Anal. Appl. 20, 303 (1998)).  So one cost call per sweep yields the values of
+the candidates and the gradients at the points they accept; a rejected step
+keeps its point and its gradient.  That call sees only the members above
+weight 1e-14 of the running restarts; every other member gives 0.
 
 A caller that knows a proven lower bound of the roof of the input may pass it
 as floor: the batch then stops as soon as some restart comes within tolerance
@@ -37,7 +38,6 @@ point no matter how many restarts follow it.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _check_party, _read_only, _sq_norms
+from .linalg import _bipartition, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _caf_bound,
@@ -179,44 +179,39 @@ def decomposition_from_isometry(rho: DensityMatrix, isometry: np.ndarray) -> Dec
     # row i of the seed matrix is sqrt(lam_i) e_i^T; a conjugate here would
     # realize rho* instead of rho
     phi = v @ (np.sqrt(lam)[:, None] * basis.T)
-    return _ensemble_from_members(rho.dims, phi)
+    return _ensemble_from_members(rho.dims, phi)[0]
 
 
-def _ensemble_from_members(dims, phi: np.ndarray) -> Decomposition:
+def _ensemble_from_members(dims, phi: np.ndarray):
+    """The decomposition of the members phi above weight 1e-12, with the
+    weights and unit vectors it is built from."""
     weights = _sq_norms(phi)
-    order = np.nonzero(weights > _DROP_WEIGHT)[0]
-    total = float(weights[order].sum())
-    members = []
-    for i in order:
-        w = float(weights[i]) / total
-        members.append((w, PureState(dims, phi[i] / np.sqrt(weights[i]))))
-    return Decomposition(tuple(members))
+    keep = weights > _DROP_WEIGHT
+    states = phi[keep] / np.sqrt(weights[keep])[:, None]
+    weights = weights[keep] / weights[keep].sum()
+    members = tuple((float(w), PureState(dims, psi)) for w, psi in zip(weights, states))
+    return Decomposition(members), weights, states
 
 
-def _member_terms(phi: np.ndarray, cost):
+def _member_terms(phi: np.ndarray, cost, running=True):
     """Ensemble terms t = w cost(phi / sqrt(w)) of a (..., dim) member stack
     and their gradients in phi (module docstring), from one cost call.
 
-    w = |phi|^2 is the member's weight; members below weight 1e-14 give 0: they
-    are costed at a fixed unit vector and zeroed, so all rows share one body.
+    w = |phi|^2 is the member's weight.  Only members above weight 1e-14 of a
+    running restart reach the cost, where running is True or one flag per
+    restart of a (restarts, m, dim) stack; every other member gives 0.
     """
-    flat = phi.reshape(-1, phi.shape[-1])
-    w = _sq_norms(flat)
-    live = w > 1e-14
-    root = np.sqrt(np.where(live, w, 1.0))[:, None]
-    states = np.where(live[:, None], flat, _unit_row(flat.shape[1])) / root
+    w = _sq_norms(phi)
+    on = (w > 1e-14) & np.asarray(running)[..., None]
+    rows, w_on = phi[on], w[on]
+    root = np.sqrt(w_on)[:, None]
+    states = rows / root
     f, f_grad = cost(states)
-    f = f * live
     radial = np.einsum("ni,ni->n", states.conj(), f_grad).real[:, None]
-    terms = w * f
-    grads = 2.0 * f[:, None] * flat + (root * live[:, None]) * (f_grad - radial * states)
-    return terms.reshape(phi.shape[:-1]), grads.reshape(phi.shape)
-
-
-@functools.cache
-def _unit_row(dim: int) -> np.ndarray:
-    """(1, 0, ..., 0), where _member_terms costs dead members; made once per dim."""
-    return _read_only(np.eye(1, dim))
+    terms, grads = np.zeros(w.shape), np.zeros(phi.shape, dtype=complex)
+    terms[on] = w_on * f
+    grads[on] = 2.0 * f[:, None] * rows + root * (f_grad - radial * states)
+    return terms, grads
 
 
 _HALF_UPPER = tuple(np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r) for r in range(_MAX_RANK + 1))
@@ -256,9 +251,10 @@ def minimize_roof(
     cost maps a (batch, dim) array of normalized vectors psi to (f, grad f),
     the (batch,) values and the cost formula's gradients as d/dRe + i d/dIm;
     a member term t = w f(phi / sqrt(w)) has grad t = 2 f phi + sqrt(w)
-    (grad f - Re<psi, grad f> psi), and each sweep makes one cost call.  The
-    returned value is an upper bound on the true roof (the optimizer can only
-    certify what it found), tight in practice for the ranks this package allows.
+    (grad f - Re<psi, grad f> psi), and each sweep makes one cost call, on the
+    members above weight 1e-14 of the running restarts.  The returned value is
+    an upper bound on the true roof (the optimizer can only certify what it
+    found), tight in practice for the ranks this package allows.
 
     floor, when given, must be a proven lower bound of the roof of rho, that
     is of the cost averaged over every decomposition of rho (a lower bound of
@@ -320,21 +316,19 @@ def minimize_roof(
         settled = stopped.all() if floor is not None else stopped[np.argmin(current)]
         if at_floor or settled or iters.max() == cfg.max_iterations:
             break
-        # the running restarts: the whole batch, as views, until one stops
-        run = np.nonzero(~stopped)[0] if stopped.any() else slice(None)
-        iso_cand = _phase_fixed_isometries(mats[run] - alpha[run, None, None] * grad[run])
-        terms, dphi = _member_terms(iso_cand @ b_mat, cost)
+        running = ~stopped
+        iso_cand = _phase_fixed_isometries(mats - alpha[:, None, None] * grad)
+        terms, dphi = _member_terms(iso_cand @ b_mat, cost, running)
         f_cand = terms.sum(axis=1)
-        gain = current[run] - f_cand
-        took = gain > _ACCEPT_SLACK
-        acc = took if isinstance(run, slice) else run[took]
-        mats[acc] = iso_cand[took]
-        current[acc] = f_cand[took]
+        gain = current - f_cand
+        took = (gain > _ACCEPT_SLACK) & running
+        mats[took] = iso_cand[took]
+        current[took] = f_cand[took]
         if took.any():  # a rejected step keeps its point, and so its gradient
-            grad[acc] = _ensemble_gradient(mats[acc], b_mat, dphi[took])
-        streak[acc] = np.where(gain[took] < cfg.tolerance, streak[acc] + 1, 0)
-        alpha[run] *= np.where(took, 1.3, 0.4)
-        iters[run] += 1
+            grad[took] = _ensemble_gradient(mats[took], b_mat, dphi[took])
+        streak[took] = np.where(gain[took] < cfg.tolerance, streak[took] + 1, 0)
+        alpha[running] *= np.where(took[running], 1.3, 0.4)
+        iters[running] += 1
         stopped |= (alpha < 1e-10) | (streak >= 4)
 
     best = int(np.argmin(current))
@@ -343,9 +337,7 @@ def minimize_roof(
     reason = "floor" if at_floor else reason if stopped[best] else "cap"
     if at_floor or settled:  # the rest of the batch is abandoned, not run to the cap
         stopped[:] = True
-    decomposition = _ensemble_from_members(dims, mats[best] @ b_mat)
-    states = np.stack([p.amplitudes for _, p in decomposition.members])
-    weights = np.array([w for w, _ in decomposition.members])
+    decomposition, weights, states = _ensemble_from_members(dims, mats[best] @ b_mat)
     value = float((weights * cost(states)[0]).sum())
     return RoofResult(
         value=value,

@@ -181,6 +181,29 @@ def test_curvatures_stay_finite_for_tiny_positive_x(q):
             np.testing.assert_allclose(got, x_refs, rtol=1e-13, atol=0.0)
 
 
+def test_tee_curvature_is_finite_wherever_its_value_is_a_double():
+    # d0 overflows for x below about 1e-154 and q < 1.05 before c2 d0 does,
+    # which left a band of -inf where f'' itself is a finite double.
+    # References: mpmath at 300 digits, central second differences of f at
+    # step x * 1e-40; at q = 1, f'' = -1/(4x) to leading order
+    refs = [-2.5e307, -5e307, -1.2500000000000008e308]
+    got = tee_curvature(np.array([1e-308, 5e-309, 2e-309]), 1.0)
+    np.testing.assert_allclose(got, refs, rtol=1e-12, atol=0.0)
+    # at x this small f'' = -c2 B^(q-2) to far below rounding, c2 = q/2^(q+2)
+    # and B = x/2, so the true value fits in a double exactly where this log
+    # magnitude stays below log(max); mpmath puts the edge between grid points
+    # 6.3e-316 and 7.9e-316 at q = 1.02 and 1.6e-322 and 2e-322 at q = 1.04
+    x = np.logspace(-323, -307, 161)
+    for q in (1.02, 1.04):
+        got = tee_curvature(x, q)
+        fits = np.log(q / 2.0 ** (q + 2.0)) + (q - 2.0) * np.log(x / 2.0) < np.log(np.finfo(float).max)
+        assert fits.sum() == {1.02: 82, 1.04: 148}[q]
+        assert np.all(np.isfinite(got) == fits)
+        assert np.all(got < 0.0)
+    # where the true value overflows it stays -inf
+    assert tee_curvature(1e-300, 0.95) == -math.inf
+
+
 def _edge_closed_forms(q):
     """(x or c, tee_curvature, tee_sq_curvature, tee_curvature_wrt_c) at 0 and 1."""
     f_one = math.log(2.0) if q == 1.0 else (1.0 - 2.0 ** (1.0 - q)) / (q - 1.0)

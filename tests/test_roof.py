@@ -774,6 +774,39 @@ def test_cost_rows_per_call_bounded():
     assert max(rows) <= cfg.restarts * m
 
 
+def test_costs_see_only_live_members_of_running_restarts():
+    # restart 0 starts at [I; 0]: its last r members have weight 0 and never
+    # move, so they must not reach the cost; nor may a restart that stopped
+    rho = _random_mixture((2, 2), 2, np.random.default_rng(19))
+    r, m = 2, 4
+    inner = concurrence_cost((2, 2), 0)
+    unit = np.eye(1, 4)
+
+    def sweep_rows(restarts):
+        # rows per cost call of a floored batch whose floor is never reached,
+        # so every restart runs to its own stop
+        rows = []
+
+        def cost(states):
+            assert not np.any(np.all(states == unit, axis=1))
+            rows.append(len(states))
+            return inner(states)
+
+        res = minimize_roof(rho, cost, RoofConfig(restarts=restarts, seed=4), floor=-1.0)
+        assert res.converged and rows[0] == restarts * m - r
+        return rows[1:-1]  # the sweeps, without the first call and the recompute
+
+    batches = [[]] + [sweep_rows(k) for k in range(1, 7)]
+    stops = []
+    for k in range(6):
+        # restart k is the difference of the prefix batches k + 1 and k: its
+        # live members on each sweep it runs, nothing once it has stopped
+        own = np.array(batches[k + 1]) - np.pad(batches[k], (0, len(batches[k + 1]) - len(batches[k])))
+        stops.append(int(np.count_nonzero(own)))
+        assert np.all(own[: stops[-1]] == (r if k == 0 else m)) and np.all(own[stops[-1] :] == 0)
+    assert len(set(stops)) > 2
+
+
 def test_run_record_counts_cost_calls_and_agreeing_restarts(bell):
     calls = []
 
