@@ -196,7 +196,8 @@ def test_tee_curvature_is_finite_wherever_its_value_is_a_double():
     x = np.logspace(-323, -307, 161)
     for q in (1.02, 1.04):
         got = tee_curvature(x, q)
-        fits = np.log(q / 2.0 ** (q + 2.0)) + (q - 2.0) * np.log(x / 2.0) < np.log(np.finfo(float).max)
+        log_size = np.log(q / 2.0 ** (q + 2.0)) + (q - 2.0) * np.log(x / 2.0)
+        fits = log_size < np.log(np.finfo(float).max)
         assert fits.sum() == {1.02: 82, 1.04: 148}[q]
         assert np.all(np.isfinite(got) == fits)
         assert np.all(got < 0.0)

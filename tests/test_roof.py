@@ -801,7 +801,8 @@ def test_costs_see_only_live_members_of_running_restarts():
     for k in range(6):
         # restart k is the difference of the prefix batches k + 1 and k: its
         # live members on each sweep it runs, nothing once it has stopped
-        own = np.array(batches[k + 1]) - np.pad(batches[k], (0, len(batches[k + 1]) - len(batches[k])))
+        later = np.array(batches[k + 1])
+        own = later - np.pad(batches[k], (0, len(later) - len(batches[k])))
         stops.append(int(np.count_nonzero(own)))
         assert np.all(own[: stops[-1]] == (r if k == 0 else m)) and np.all(own[stops[-1] :] == 0)
     assert len(set(stops)) > 2
