@@ -822,7 +822,7 @@ def build_parser() -> _Parser:
     sp.add_argument(
         "--force-q",
         action="store_true",
-        help="evaluate the two-qubit closed form outside its window (lower bound)",
+        help="evaluate the two-qubit closed form outside its window (upper bound)",
     )
     _add_roof_args(sp)
     _add_output_args(sp)

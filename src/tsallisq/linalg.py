@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -86,9 +87,18 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_index(value, name: str, error=DomainError) -> int:
+    """value as an int, once it is an integer: the one rule for parties,
+    kept subsystems, foci, hierarchy levels and optimizer counts.  Floats
+    are refused even when whole, and so is bool, though it subclasses int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_party(dims, party) -> int:
     """party as an int, once it names one side of a party|rest cut of dims."""
-    party, n = int(party), len(dims)
+    party, n = _check_index(party, "party", PartitionError), len(dims)
     if party < 0 or party >= n:
         raise PartitionError(f"party {party} out of range for {n} subsystems")
     if n < 2:
@@ -98,7 +108,7 @@ def _check_party(dims, party) -> int:
 
 def _check_keep(dims, keep) -> list[int]:
     """keep as sorted distinct ints, once it names at least one factor of dims."""
-    keep_set = sorted(set(int(k) for k in keep))
+    keep_set = sorted(set(_check_index(k, "keep entry", PartitionError) for k in keep))
     if not keep_set:
         raise PartitionError("keep must name at least one subsystem")
     if keep_set[0] < 0 or keep_set[-1] >= len(dims):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, QRangeError
-from .linalg import _bipartition, _check_party, _read_only, _sq_norms
+from .linalg import _bipartition, _check_index, _check_party, _read_only, _sq_norms
 from .qstate import DensityMatrix, PureState
 
 # closed-form two-qubit window: roots of q^2 - 5q + 3
@@ -30,6 +30,9 @@ _EDGE = 1e-12
 
 # sigma_y x sigma_y is the row reversal with signs (-, +, +, -)
 _FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
+# lower triangle of a 4x4 factor: masking qr's raw output with it costs less
+# than qr's mode "r", which calls np.triu on every call
+_LOWER4 = np.tril(np.ones((4, 4)))
 _NEAR_ONE = 0.25
 
 
@@ -108,26 +111,36 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
+def _wootters(factor: np.ndarray):
+    """Wootters' l1 >= l2 >= l3 >= l4 and l1 - l2 - l3 - l4 for a stack of
+    4x4 factors L of two-qubit states rho = L L^dagger: the l_i are the
+    singular values of tau = L^T (sigma_y x sigma_y) L."""
+    lam = np.linalg.svd(_spin_flip_overlaps(factor), compute_uv=False)
+    return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+
+
 def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
     """Squared Wootters concurrence of each qubit pair (a tuple (i, j)), for a
     batch of pure vectors (..., dim); returns (..., len(pairs)).
 
-    Each pair marginal is M M^dagger with M the 4 x k reshaping of a vector.
-    For k > 2 the stack of 4x4 marginals goes through concurrence_two_qubit.
-    For k = 2 (three qubits) the spin-flipped overlaps form the complex
-    symmetric 2x2 matrix tau = M^T (sigma_y x sigma_y) M, whose singular
-    values s1 >= s2 are the square roots of the nonzero eigenvalues of
-    rho rho~.  Then C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated
-    as the sum of squares |a - u d*|^2 + |b + u b*|^2 with
-    tau = [[a, b], [b, d]] and u = det/|det| (1 when det = 0), which cancels
-    nothing when s1 ~ s2.
+    Each pair marginal is rho = M M^dagger with M the 4 x k reshaping of a
+    vector, so the amplitudes already are a factor of rho and no marginal is
+    diagonalized.  For k > 2 the factor is L = R^dagger from the QR
+    M^dagger = Q R: numpy's raw QR of M^T, the conjugate of M^dagger, holds
+    exactly that L in its lower 4x4 triangle, and _wootters finishes, with
+    no numerical-rank cutoff.  For k = 2 (three qubits) the spin-flipped
+    overlaps form the complex symmetric 2x2 matrix
+    tau = M^T (sigma_y x sigma_y) M, whose singular values s1 >= s2 are the
+    square roots of the nonzero eigenvalues of rho rho~.  Then
+    C^2 = (s1 - s2)^2 = ||tau||_F^2 - 2|det tau|, evaluated as the sum of
+    squares |a - u d*|^2 + |b + u b*|^2 with tau = [[a, b], [b, d]] and
+    u = det/|det| (1 when det = 0), which cancels nothing when s1 ~ s2.
     """
     m = vecs[..., _pair_gather(tuple(dims), tuple(pairs))]
     if m.shape[-1] == 2:
         return _sq_norms(_tau_residual(m)[3])
-    gram = m @ np.swapaxes(m.conj(), -1, -2)
-    gram = (gram + np.swapaxes(gram.conj(), -1, -2)) / 2.0
-    c = concurrence_two_qubit(gram).c
+    raw = np.linalg.qr(np.swapaxes(m, -1, -2), mode="raw")[0]
+    c = np.maximum(_wootters(raw[..., :4] * _LOWER4)[1], 0.0)
     return c * c
 
 
@@ -164,13 +177,19 @@ def _eig2_descending(gram: np.ndarray) -> np.ndarray:
     return out
 
 
+def _marginal(states, dims, party):
+    """The party|rest matrices M of a batch (n, dim) of pure vectors and the
+    party's marginals sigma = M M^dagger."""
+    mat = _bipartition(states, dims, (party,))
+    return mat, np.einsum("nij,nkj->nik", mat, mat.conj())
+
+
 def _tee_values(states, dims, party, q, vectors=False):
     """Tsallis-q entanglement across party|rest of a batch (n, dim) of pure
     vectors, with the party|rest matrices M, the marginals sigma = M M^dagger,
     their spectra (descending for a qubit) and, for a larger party if asked,
     their eigenvectors (else None)."""
-    mat = _bipartition(states, dims, (party,))
-    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    mat, gram = _marginal(states, dims, party)
     if dims[party] == 2:
         spec, vecs = _eig2_descending(gram), None
     else:
@@ -183,8 +202,7 @@ def _concurrence_values(states, dims, party):
     batch (n, dim) of pure vectors, clamped to sqrt(2(d-1)/d) for the smaller
     side dimension d, with M and sigma as above.  It is 2 (sum of |2x2 minors
     of M|^2)^(1/2) (Cauchy-Binet), which reads 0 to rounding on a product state."""
-    mat = _bipartition(states, dims, (party,))
-    gram = np.einsum("nij,nkj->nik", mat, mat.conj())
+    mat, gram = _marginal(states, dims, party)
     side = min(mat.shape[1:])
     rows = mat if mat.shape[1] == side else mat.swapaxes(1, 2)
     i, j = _upper_pairs(side)
@@ -247,7 +265,7 @@ def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
         raise PartitionError(f"this check needs qubits throughout, got dims {dims}")
     if len(dims) < 3:
         raise PartitionError("monogamy needs at least three parties")
-    focus = int(focus)
+    focus = _check_index(focus, "focus")
     if focus < 0 or focus >= len(dims):
         raise DomainError(f"focus {focus} out of range for {len(dims)} qubits")
     return tuple(j for j in range(len(dims)) if j != focus)
@@ -290,11 +308,10 @@ def concurrence_two_qubit(rho) -> ConcurrenceValue:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
     Accepts a DensityMatrix with dims (2, 2), a bare 4x4 matrix, or a stack
-    (..., 4, 4) of two-qubit density matrices.  A stack is taken as given,
-    as the batched pair kernel builds it, and yields c and lambdas as arrays
-    (...) and (..., 4).  With rho = L L^dagger taken from the
-    eigendecomposition, the l_i are the singular values of
-    tau = L^T (sigma_y x sigma_y) L.  Eigenvalues of rho at or below the
+    (..., 4, 4) of two-qubit density matrices.  A stack is taken as given
+    and yields c and lambdas as arrays (...) and (..., 4).  The factor
+    rho = L L^dagger comes from the eigendecomposition, and _wootters takes
+    the l_i from it.  Eigenvalues of rho at or below the
     numerical-rank cutoff 4 eps max(spectrum) count as zero: they are
     rounding noise, and their square roots would enter L as ~1e-8 columns.
     """
@@ -307,8 +324,7 @@ def concurrence_two_qubit(rho) -> ConcurrenceValue:
         rho = rho.matrix
     vals, vecs = np.linalg.eigh(rho)
     vals[vals <= 4.0 * np.finfo(float).eps * vals[..., -1:]] = 0.0
-    lam = np.linalg.svd(_spin_flip_overlaps(vecs * np.sqrt(vals)[..., None, :]), compute_uv=False)
-    diff = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    lam, diff = _wootters(vecs * np.sqrt(vals)[..., None, :])
     if stack:
         return ConcurrenceValue(c=np.maximum(diff, 0.0), lambdas=lam)
     c = max(0.0, float(diff))
@@ -351,10 +367,16 @@ def tee_from_concurrence_sq(csq, q):
 def _tee_curve(x, q):
     """tee_from_concurrence_sq on checked input: x an array in [0, 1], q a
     float or an array of orders broadcast against x with a trailing axis."""
+    return _tsallis_sum(_curve_spectrum(x), q)
+
+
+def _curve_spectrum(x):
+    """The spectrum {(1+s)/2, x/(2(1+s))}, s = sqrt(1 - x), on a new last
+    axis, of an array x in [0, 1]; nothing cancels as x -> 0."""
     s = np.sqrt(1.0 - x)
     spec = np.empty(x.shape + (2,))
     spec[..., 0], spec[..., 1] = (1.0 + s) / 2.0, x / (2.0 * (1.0 + s))
-    return _tsallis_sum(spec, q)
+    return spec
 
 
 def ef_two_qubit(rho: DensityMatrix) -> float:
@@ -372,15 +394,17 @@ def tee_pure(psi: PureState, party: int, q) -> float:
 def tee_two_qubit(rho: DensityMatrix, q, *, force_q: bool = False) -> float:
     """Mixed two-qubit Tsallis-q entanglement via the concurrence closed form.
 
-    Outside the analytic window the closed form is only a lower bound on the
-    convex roof, so the call raises unless force_q is set.
+    Outside the analytic window the closed form is only an upper bound on the
+    convex roof: every member of Wootters' optimal decomposition has
+    concurrence C(rho), so that decomposition attains g(C^2).  The call
+    raises there unless force_q is set.
     """
     qp = as_q(q)
     if not qp.analytic_two_qubit and not force_q:
         raise QRangeError(
             f"q={qp.q:.12g} is outside the closed-form window "
             f"[{ANALYTIC_Q_MIN:.12g}, {ANALYTIC_Q_MAX:.12g}]; pass force_q=True "
-            "to evaluate the formula as a lower bound"
+            "to evaluate the formula as an upper bound"
         )
     c = concurrence_two_qubit(rho).c
     return float(tee_from_concurrence_sq(c * c, qp.q))

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QRangeError
-from .linalg import _bipartition
+from .linalg import _bipartition, _check_index
 from .measures import (
     QParam,
     _check_q,
+    _curve_spectrum,
+    _eig2_descending,
+    _marginal,
     _pair_concurrence_sq,
     _qubit_partners,
-    _tee_curve,
-    _tee_values,
     _tsallis_sum,
     _window_q,
     as_q,
@@ -102,10 +103,14 @@ def _power_rows(vecs, dims, focus: int, partners, alpha: float, q: float):
     partner j, shape (n, len(partners)), of a batch (n, 2^N) of N-qubit pure
     vectors.  The pair terms go through the concurrence closed form, which is
     exact inside the window _window_q checks; with q checked there, the
-    kernel's own squared concurrences need only the clip to [0, 1]."""
-    lhs = _tee_values(vecs, dims, focus, q)[0] ** alpha
+    kernel's own squared concurrences need only the clip to [0, 1].  The
+    focus cut's spectrum and the pairs' closed-form spectra go through one
+    Tsallis sum."""
+    cut = _eig2_descending(_marginal(vecs, dims, focus)[1])
     csq = _pair_concurrence_sq(vecs, dims, tuple((focus, j) for j in partners))
-    return lhs, _tee_curve(np.clip(csq, 0.0, 1.0), q) ** alpha
+    spec = np.concatenate([cut[:, None], _curve_spectrum(np.clip(csq, 0.0, 1.0))], axis=1)
+    rows = _tsallis_sum(spec, q) ** alpha
+    return rows[:, 0], rows[:, 1:]
 
 
 def ckw_check(psi: PureState, focus: int = 0, tolerance: float = 1e-9) -> MonogamyReport:
@@ -161,7 +166,7 @@ def hierarchical_check(
         raise QRangeError(f"q={qp.q:.12g} is outside the concave regime the block term needs")
     partners = _qubit_partners(psi.dims, focus)
     n = psi.num_sites
-    k = int(k)
+    k = _check_index(k, "k")
     if k < 3 or k > n:
         raise DomainError(f"k must lie in [3, {n}], got {k}")
 

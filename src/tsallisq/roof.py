@@ -39,13 +39,12 @@ point no matter how many restarts follow it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _check_party, _sq_norms
+from .linalg import _bipartition, _check_index, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _caf_bound,
@@ -80,9 +79,7 @@ class RoofConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iterations", "seed"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {count!r}")
+            _check_index(getattr(self, name), name)
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.restarts < 1:

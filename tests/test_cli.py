@@ -250,6 +250,12 @@ def test_mixed_tee_window_gate_and_force(tmp_path, capsys, rng):
     assert main(["tee", str(path), "--q", "9", "--force-q"]) == 0
 
 
+def test_force_q_help_names_the_closed_form_an_upper_bound(capsys):
+    with pytest.raises(SystemExit):
+        main(["tee", "--help"])
+    assert "outside its window (upper bound)" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize(
     "verb,cut",
     [(["tee", "--q", "2"], "9"), (["concurrence"], "-3")],

@@ -22,6 +22,7 @@ from tsallisq import (
     concurrence_two_qubit,
     ef_two_qubit,
     ghz,
+    minimize_roof,
     random_pure_state,
     roof_concurrence,
     save_state,
@@ -404,6 +405,27 @@ def test_pair_kernel_ghz3_pairs_exactly_zero():
     assert got.tolist() == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pure_pair_route_on_product_w_and_random_states(n):
+    # at k = 2^(n-2) > 2 the factor of each pair marginal comes from a QR of
+    # the amplitudes, with no numerical-rank cutoff
+    rng = np.random.default_rng(40 + n)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(10):
+        product, w, psi = (_kernel_test_state(kind, n, rng) for kind in ("product", "w", "random"))
+        assert _pair_concurrence_sq(product.amplitudes, product.dims, pairs).max() <= 1e-28
+        # two product qubits beside an entangled rest: every pair with 0 or 1 is product
+        pair, rest = _kernel_test_state("product", 2, rng), random_pure_state((2,) * (n - 2), rng)
+        mixed = PureState((2,) * n, np.kron(pair.amplitudes, rest.amplitudes))
+        touching = [pair for pair in pairs if pair[0] < 2]
+        assert _pair_concurrence_sq(mixed.amplitudes, mixed.dims, touching).max() <= 1e-28
+        got = _pair_concurrence_sq(w.amplitudes, w.dims, pairs)
+        assert np.max(np.abs(got - 4.0 / n**2)) <= 2e-15
+        got = _pair_concurrence_sq(psi.amplitudes, psi.dims, pairs)
+        ref = [concurrence_two_qubit(psi.reduced(pair)).c ** 2 for pair in pairs]
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+
 # --- state-level wrappers ------------------------------------------------------
 
 
@@ -429,6 +451,24 @@ def test_tee_two_qubit_window_gate(bell):
         tee_two_qubit(rho, 5.0)
     assert tee_two_qubit(rho, 5.0, force_q=True) > 0.0
     assert tee_two_qubit(rho, 2.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_out_of_window_closed_form_is_an_upper_bound():
+    # every member of Wootters' decomposition has concurrence C(rho), so that
+    # decomposition attains g(C^2): outside the window the closed form is an
+    # upper bound, and here the optimizer's roof, itself an upper bound on
+    # the true roof, lands 4.7e-3 below it
+    rng = np.random.default_rng(5)
+    members = [random_pure_state((2, 2), rng).amplitudes for _ in range(3)]
+    weights = rng.random(3)
+    weights /= weights.sum()
+    mat = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, members))
+    rho = DensityMatrix((2, 2), mat)
+    closed = tee_two_qubit(rho, 0.5, force_q=True)
+    roof = minimize_roof(rho, tee_cost((2, 2), 0, 0.5), RoofConfig(restarts=16, seed=1))
+    assert roof.value < closed - 1e-3
+    with pytest.raises(QRangeError, match="as an upper bound"):
+        tee_two_qubit(rho, 0.5)
 
 
 def test_tee_two_qubit_on_mixture(rng, bell):
