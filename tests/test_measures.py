@@ -415,8 +415,8 @@ def test_pure_pair_route_on_product_w_and_random_states(n):
         product, w, psi = (_kernel_test_state(kind, n, rng) for kind in ("product", "w", "random"))
         assert _pair_concurrence_sq(product.amplitudes, product.dims, pairs).max() <= 1e-28
         # two product qubits beside an entangled rest: every pair with 0 or 1 is product
-        pair, rest = _kernel_test_state("product", 2, rng), random_pure_state((2,) * (n - 2), rng)
-        mixed = PureState((2,) * n, np.kron(pair.amplitudes, rest.amplitudes))
+        two, rest = _kernel_test_state("product", 2, rng), random_pure_state((2,) * (n - 2), rng)
+        mixed = PureState((2,) * n, np.kron(two.amplitudes, rest.amplitudes))
         touching = [pair for pair in pairs if pair[0] < 2]
         assert _pair_concurrence_sq(mixed.amplitudes, mixed.dims, touching).max() <= 1e-28
         got = _pair_concurrence_sq(w.amplitudes, w.dims, pairs)

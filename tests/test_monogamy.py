@@ -437,7 +437,10 @@ def _pinned_kernel_values():
 
 
 # _pinned_kernel_values as recorded before the pure-state kernels' numpy calls
-# were trimmed: those trims must leave every bit unchanged
+# were trimmed: those trims must leave every bit unchanged.  The n4 and n5 pair
+# values (and the terms and residuals made from them) were re-pinned when
+# pairs of four or more qubits took their factor from a QR of the amplitudes;
+# CHANGES.md lists each beside its 50-digit mpmath value
 _PINNED_KERNEL_BITS = {
     "n3-pairs": (
         "0x1.4819191adf955p-4", "0x1.9e7825ad077c0p-4",
