@@ -261,16 +261,11 @@ def _window_q(q) -> QParam:
 
 def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
     """The qubits other than focus, once dims is at least three qubits."""
-    return _partners(tuple(dims), _check_index(focus, "focus"))
-
-
-@functools.cache
-def _partners(dims, focus: int) -> tuple[int, ...]:
-    """_qubit_partners on an integer focus; made on first use per dims and focus."""
     if any(d != 2 for d in dims):
         raise PartitionError(f"this check needs qubits throughout, got dims {dims}")
     if len(dims) < 3:
         raise PartitionError("monogamy needs at least three parties")
+    focus = _check_index(focus, "focus")
     if focus < 0 or focus >= len(dims):
         raise DomainError(f"focus {focus} out of range for {len(dims)} qubits")
     return tuple(j for j in range(len(dims)) if j != focus)

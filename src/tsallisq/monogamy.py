@@ -85,7 +85,7 @@ def _residual(lhs, terms):
 
 def _build_report(q, lhs, terms, partners, tolerance) -> MonogamyReport:
     lhs = float(lhs)
-    terms = tuple(np.asarray(terms, dtype=float).tolist())
+    terms = tuple(float(t) for t in terms)
     residual = _residual(lhs, terms)
     return MonogamyReport(
         q=q,
