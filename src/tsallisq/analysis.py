@@ -343,9 +343,9 @@ def holds_power_bound(x: float, t: float) -> bool:
     """(1+x)^t >= 1 + x^t for x in [0, 1], t >= 1 (with 1e-12 slack)."""
     x = float(x)
     t = float(t)
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if t < 1.0:
+    if not t >= 1.0:
         raise DomainError(f"t must be >= 1, got {t!r}")
     return (1.0 + x) ** t + 1e-12 >= 1.0 + x**t
 
@@ -356,8 +356,8 @@ def holds_sum_power_bound(xs, alpha: float) -> bool:
     alpha = float(alpha)
     if arr.size == 0:
         raise DomainError("need at least one entry")
-    if np.any(arr < 0.0) or np.any(arr > 1.0 + _EDGE):
+    if not np.all((arr >= 0.0) & (arr <= 1.0 + _EDGE)):
         raise DomainError("entries must lie in [0, 1]")
-    if alpha < 2.0:
+    if not alpha >= 2.0:
         raise DomainError(f"alpha must be >= 2, got {alpha!r}")
     return float(np.sum(arr**2)) ** (alpha / 2.0) + 1e-12 >= float(np.sum(arr**alpha))

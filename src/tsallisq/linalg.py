@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DomainError, PartitionError
 
 HERMITICITY_TOL = 1e-8
-# rows*cols of a product may not exceed this: side 64 is the package-wide cap
-MAX_KRON_ENTRIES = 4096
+# the package-wide cap on a state's total dimension
+MAX_TOTAL_DIM = 64
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -27,8 +27,8 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         f = np.asarray(f, dtype=complex)
-        if out.size * f.size > MAX_KRON_ENTRIES:
-            raise DomainError("kron result would exceed %d entries" % MAX_KRON_ENTRIES)
+        if out.size * f.size > MAX_TOTAL_DIM**2:
+            raise DomainError("kron result would exceed %d entries" % MAX_TOTAL_DIM**2)
         out = np.kron(out, f)
     return out
 
@@ -96,6 +96,18 @@ def _check_index(value, name: str, error=DomainError) -> int:
     return int(value)
 
 
+def _check_dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of ints, once each is an integer >= 2 and their product
+    is at most MAX_TOTAL_DIM: the one rule for every factorization."""
+    dims = tuple(_check_index(d, "dimension", PartitionError) for d in dims)
+    if not dims or any(d < 2 for d in dims):
+        raise PartitionError(f"each subsystem needs dimension >= 2, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_TOTAL_DIM:
+        raise DomainError(f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIM}")
+    return dims
+
+
 def _check_party(dims, party) -> int:
     """party as an int, once it names one side of a party|rest cut of dims."""
     party, n = _check_index(party, "party", PartitionError), len(dims)
@@ -119,14 +131,12 @@ def _check_keep(dims, keep) -> list[int]:
 def partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace out every tensor factor not listed in keep.
 
-    dims gives the local dimension of each factor in tensor order; keep is a
-    nonempty proper subset of factor indices (order is preserved as given in
-    range order, not keep order).
+    dims gives the local dimension of each factor in tensor order; keep names
+    at least one factor index (factors come out in range order, not keep
+    order), and keeping every factor returns a copy of mat.
     """
     mat = _require_square(mat, "matrix")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise PartitionError(f"dims must be positive, got {dims}")
+    dims = _check_dims(dims)
     total = math.prod(dims)
     if total != mat.shape[0]:
         raise PartitionError(f"dims {dims} multiply to {total}, but matrix has side {mat.shape[0]}")

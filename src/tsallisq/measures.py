@@ -47,13 +47,20 @@ def _check_q(q) -> np.ndarray:
     return qa
 
 
-def _check_xq(x, q) -> tuple[np.ndarray, np.ndarray]:
-    """Validate squared concurrences (1e-12 of slack outside [0, 1], then
-    clipped) and entropic orders; returns both as float arrays."""
+def _unit_interval(x, name: str) -> np.ndarray:
+    """x as a float array clipped to [0, 1], once every entry lies within
+    1e-12 of it: the one rule for values on [0, 1].  NaN lies nowhere and is
+    refused."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < -_EDGE) or np.any(xa > 1.0 + _EDGE):
-        raise DomainError("squared concurrence must lie in [0, 1]")
-    return np.clip(xa, 0.0, 1.0), _check_q(q)
+    if not np.all((xa >= -_EDGE) & (xa <= 1.0 + _EDGE)):
+        got = f", got {float(xa)!r}" if xa.ndim == 0 else ""
+        raise DomainError(f"{name} must lie in [0, 1]{got}")
+    return np.clip(xa, 0.0, 1.0)
+
+
+def _check_xq(x, q) -> tuple[np.ndarray, np.ndarray]:
+    """Squared concurrences on [0, 1] and entropic orders, as float arrays."""
+    return _unit_interval(x, "squared concurrence"), _check_q(q)
 
 
 def _qlog(base, q):
@@ -274,10 +281,10 @@ def _qubit_partners(dims, focus: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ConcurrenceValue:
     """Concurrence plus, when it came from the two-qubit formula, the four
-    descending singular values behind it (arrays for a stack of states)."""
+    descending singular values behind it."""
 
-    c: float | np.ndarray
-    lambdas: tuple[float, ...] | np.ndarray | None = None
+    c: float
+    lambdas: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -297,36 +304,27 @@ def tsallis_entropy(rho, q) -> float:
 
 def binary_entropy(p: float) -> float:
     """-p ln p - (1-p) ln(1-p), tolerating 1e-12 of rounding outside [0, 1]."""
-    p = float(p)
-    if p < -_EDGE or p > 1.0 + _EDGE:
-        raise DomainError(f"binary_entropy argument {p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
+    p = float(_unit_interval(p, "binary_entropy argument"))
     return float(_tsallis_sum(np.array([p, 1.0 - p]), 1.0))
 
 
 def concurrence_two_qubit(rho) -> ConcurrenceValue:
     """Two-qubit concurrence max(0, l1 - l2 - l3 - l4).
 
-    Accepts a DensityMatrix with dims (2, 2), a bare 4x4 matrix, or a stack
-    (..., 4, 4) of two-qubit density matrices.  A stack is taken as given
-    and yields c and lambdas as arrays (...) and (..., 4).  The factor
-    rho = L L^dagger comes from the eigendecomposition, and _wootters takes
-    the l_i from it.  Eigenvalues of rho at or below the
-    numerical-rank cutoff 4 eps max(spectrum) count as zero: they are
-    rounding noise, and their square roots would enter L as ~1e-8 columns.
+    Accepts a DensityMatrix with dims (2, 2) or a bare 4x4 matrix, which is
+    validated as one.  The factor rho = L L^dagger comes from the
+    eigendecomposition, and _wootters takes the l_i from it.  Eigenvalues of
+    rho at or below the numerical-rank cutoff 4 eps max(spectrum) count as
+    zero: they are rounding noise, and their square roots would enter L as
+    ~1e-8 columns.
     """
-    stack = isinstance(rho, np.ndarray) and rho.ndim > 2
-    if not stack:
-        if not isinstance(rho, DensityMatrix):
-            rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
-        if rho.dims != (2, 2):
-            raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
-        rho = rho.matrix
-    vals, vecs = np.linalg.eigh(rho)
-    vals[vals <= 4.0 * np.finfo(float).eps * vals[..., -1:]] = 0.0
-    lam, diff = _wootters(vecs * np.sqrt(vals)[..., None, :])
-    if stack:
-        return ConcurrenceValue(c=np.maximum(diff, 0.0), lambdas=lam)
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix((2, 2), np.asarray(rho, dtype=complex))
+    if rho.dims != (2, 2):
+        raise DomainError(f"two-qubit concurrence needs dims (2, 2), got {rho.dims}")
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals[vals <= 4.0 * np.finfo(float).eps * vals[-1]] = 0.0
+    lam, diff = _wootters(vecs * np.sqrt(vals))
     c = max(0.0, float(diff))
     return ConcurrenceValue(c=c, lambdas=tuple(float(v) for v in lam))
 
@@ -420,11 +418,6 @@ def tee_2xd(rho: DensityMatrix, q, c: float) -> TeeEstimate:
     qp = as_q(q)
     if rho.num_sites != 2 or 2 not in rho.dims:
         raise DomainError(f"expected a qubit-qudit bipartite state, got dims {rho.dims}")
-    c = float(c)
-    if c < -_EDGE:
-        raise DomainError(f"concurrence must be nonnegative, got {c!r}")
-    c = max(c, 0.0)
-    if c > 1.0 + _EDGE:
-        raise DomainError(f"a qubit cut bounds concurrence by 1, got {c!r}")
-    value = float(tee_from_concurrence_sq(min(c, 1.0) ** 2, qp.q))
+    c = float(_unit_interval(c, "a qubit cut's concurrence"))
+    value = float(tee_from_concurrence_sq(c**2, qp.q))
     return TeeEstimate(value=value, exact=qp.concave_regime)

@@ -137,7 +137,7 @@ def alpha_residual(
 ) -> MonogamyReport:
     """alpha-th power monogamy (alpha >= 2) for an N-qubit pure state."""
     alpha = float(alpha)
-    if alpha < 2.0:
+    if not alpha >= 2.0:
         raise DomainError(f"alpha must be >= 2, got {alpha!r}")
     qp = _window_q(q)
     partners = _qubit_partners(psi.dims, focus)
@@ -228,7 +228,7 @@ def w_indicator_closed_form(n: int, q):
     f(4(n-1)/n^2)^2 - (n-1) f(4/n^2)^2 with f the squared-concurrence-to-TEE
     map; broadcasts over q, q = 1 included.
     """
-    n = int(n)
+    n = _check_index(n, "n")
     if n < 2:
         raise DomainError(f"the W family needs n >= 2, got {n}")
     cut = 4.0 * (n - 1) / n**2
@@ -283,7 +283,7 @@ def random_biseparable_mixture(
 ) -> DensityMatrix:
     """Random three-qubit mixture of pure states, each product across one of
     the three bipartitions (so the true indicator is exactly zero)."""
-    members = int(members)
+    members = _check_index(members, "members")
     if members < 1:
         raise DomainError("need at least one member")
     dim = 8

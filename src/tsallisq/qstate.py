@@ -9,24 +9,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError, StateFormatError
-from .linalg import _bipartition, _check_keep, _read_only, _sq_norms, partial_trace
-
-MAX_TOTAL_DIM = 64
+from .linalg import (
+    MAX_TOTAL_DIM,
+    _bipartition,
+    _check_dims,
+    _check_index,
+    _check_keep,
+    _read_only,
+    _sq_norms,
+    partial_trace,
+)
 
 _NORM_TOL = 1e-10
 _TRACE_TOL = 1e-9
 _HERM_TOL = 1e-10
 _NEG_EIG_TOL = 1e-9
-
-
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise PartitionError(f"each subsystem needs dimension >= 2, got {dims}")
-    total = math.prod(dims)
-    if total > MAX_TOTAL_DIM:
-        raise DomainError(f"total dimension {total} exceeds the supported maximum {MAX_TOTAL_DIM}")
-    return dims
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +36,7 @@ class PureState:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if amps.size != total:
             raise PartitionError(f"dims {dims} need {total} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
@@ -81,7 +78,7 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if mat.shape != (total, total):
             raise PartitionError(
                 f"dims {dims} need a {total}x{total} matrix, got shape {mat.shape}"
@@ -137,7 +134,7 @@ class Decomposition:
             raise DomainError("a decomposition needs at least one member")
         dims = members[0][1].dims
         for w, psi in members:
-            if w <= 0.0:
+            if not w > 0.0:
                 raise DomainError(f"decomposition weight {w:.3e} is not positive")
             if psi.dims != dims:
                 raise PartitionError("decomposition members disagree on dims")
@@ -177,7 +174,7 @@ def reduced_density(psi: PureState, keep) -> DensityMatrix:
 
 def ghz(n: int) -> PureState:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    n = int(n)
+    n = _check_index(n, "n")
     if n < 2 or 2**n > MAX_TOTAL_DIM:
         raise DomainError(f"ghz supports 2..6 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
@@ -187,7 +184,7 @@ def ghz(n: int) -> PureState:
 
 def w_state(n: int) -> PureState:
     """n-qubit W state: equal superposition of all single-excitation basis states."""
-    n = int(n)
+    n = _check_index(n, "n")
     if n < 2 or 2**n > MAX_TOTAL_DIM:
         raise DomainError(f"w_state supports 2..6 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
@@ -267,8 +264,7 @@ def example5_state() -> PureState:
 
 
 def random_pure_state(dims, rng: np.random.Generator) -> PureState:
-    dims = _check_dims(dims)
-    total = int(np.prod(dims))
+    total = math.prod(_check_dims(dims))
     amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
     return PureState(dims, amps / np.linalg.norm(amps))
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _check_index, _check_party, _sq_norms
+from .linalg import _bipartition, _check_dims, _check_index, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _caf_bound,
@@ -370,7 +370,7 @@ def tee_cost(dims, party: int, q: float):
     nothing (u^dagger M = 0 there).  A qubit party takes ln_q(sigma) M as
     L1 M + D (sigma - l1) M, D = (L1 - L2)/(l1 - l2), and sigma = l1 if l1 = l2.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     party, q = _check_party(dims, party), as_q(q).q
     order = _state_order(dims, (party,))
 
@@ -395,7 +395,7 @@ def concurrence_cost(dims, party: int):
     The gradient is -4 sigma M / c, and 0 at the cone's tip c <= 1e-14,
     where c is the minors' rounding and the quotient would be noise.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     party = _check_party(dims, party)
     order = _state_order(dims, (party,))
 
@@ -418,7 +418,7 @@ def indicator_summand_cost(dims, focus: int, q: float):
     pair adds nothing at x_j = 0, where g = 0, or at x_j = 1, where det tau = 0
     and grad x_j = grad |tau|^2 is radial (|tau|^2 is at its maximum 1).
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     if dims != (2, 2, 2):
         raise PartitionError(f"indicator needs three qubits, got dims {dims}")
     q = _window_q(q).q

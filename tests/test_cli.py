@@ -386,6 +386,23 @@ def test_scan_gw_single_faults(capsys, fault, message):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["monogamy", "w:4", "--q", "2", "--alpha", "nan"], "alpha must be >= 2, got nan"),
+        (
+            ["scan", "tee-curvature", "--x", "nan", "--q", "2", "--sign", "nonnegative"],
+            "squared concurrence must lie in [0, 1]",
+        ),
+    ],
+)
+def test_nan_range_values_are_refused(capsys, argv, message):
+    # a NaN exponent or squared concurrence used to print a verdict and exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_indicator_pure_n_qubits(capsys):
     assert main(["indicator", "w:4", "--q", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

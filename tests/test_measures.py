@@ -13,6 +13,7 @@ from tsallisq import (
     ANALYTIC_Q_MIN,
     DensityMatrix,
     DomainError,
+    PartitionError,
     PureState,
     QRangeError,
     RoofConfig,
@@ -220,17 +221,9 @@ def test_caf_bound_vanishes_on_separable_mixtures():
 def test_concurrence_two_qubit_rejects_other_dims():
     with pytest.raises(DomainError):
         concurrence_two_qubit(DensityMatrix((4,), np.eye(4) / 4))
-
-
-def test_concurrence_two_qubit_on_a_stack(rng):
-    states = [random_pure_state((2,) * 4, rng) for _ in range(2)]
-    pairs = ((0, 1), (1, 3), (2, 3))
-    stack = np.array([[psi.reduced(pair).matrix for pair in pairs] for psi in states])
-    cv = concurrence_two_qubit(stack)
-    assert cv.c.shape == (2, 3) and cv.lambdas.shape == (2, 3, 4)
-    for idx in np.ndindex(2, 3):
-        one = concurrence_two_qubit(stack[idx])
-        assert cv.c[idx] == one.c and tuple(cv.lambdas[idx]) == one.lambdas
+    # a bare array is validated as one 4x4 density matrix, so a stack is refused
+    with pytest.raises(PartitionError):
+        concurrence_two_qubit(np.stack([np.eye(4) / 4] * 2))
 
 
 # --- closed-form entanglement curve -------------------------------------------

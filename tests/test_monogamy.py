@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tsallisq import (
+    Decomposition,
     DensityMatrix,
     DomainError,
     PartitionError,
@@ -11,6 +12,7 @@ from tsallisq import (
     QRangeError,
     RoofConfig,
     alpha_residual,
+    binary_entropy,
     ckw_check,
     example3_residual,
     example4_residual,
@@ -19,13 +21,17 @@ from tsallisq import (
     ghz,
     hierarchical_check,
     indicator,
+    partial_trace,
     random_pure_state,
+    tee_2xd,
+    tee_cost,
+    tee_from_concurrence_sq,
     tee_pure,
     tee_sq_residual,
     w_indicator_closed_form,
     w_state,
 )
-from tsallisq.analysis import find_root_q
+from tsallisq.analysis import find_root_q, holds_power_bound, holds_sum_power_bound
 from tsallisq.measures import _pair_concurrence_sq
 from tsallisq.monogamy import _gw_indicator, random_biseparable_mixture
 
@@ -175,17 +181,37 @@ def test_hierarchical_focus_one(quick_roof):
     assert rep.partners == (0, (2, 3))
 
 
+_INTEGER = "must be an integer"
+
+
 @pytest.mark.parametrize(
-    "call,error",
+    "call,error,match",
     [
-        (lambda w4: tee_pure(w4, 1.7, 2.0), PartitionError),
-        (lambda w4: tee_pure(w4, True, 2.0), PartitionError),
-        (lambda w4: w4.reduced((0, 1.0)), PartitionError),
-        (lambda w4: hierarchical_check(w4, 0, 3.9, 2.0), DomainError),
-        (lambda w4: hierarchical_check(w4, 0, 4.0, 2.0), DomainError),
-        (lambda w4: alpha_residual(w4, 2.9, 2.0, 2.0), DomainError),
-        (lambda w4: ckw_check(w4, 1.0), DomainError),
-        (lambda w4: indicator(w4, 2.0, focus=0.5), DomainError),
+        (lambda w4: tee_pure(w4, 1.7, 2.0), PartitionError, _INTEGER),
+        (lambda w4: tee_pure(w4, True, 2.0), PartitionError, _INTEGER),
+        (lambda w4: w4.reduced((0, 1.0)), PartitionError, _INTEGER),
+        (lambda w4: hierarchical_check(w4, 0, 3.9, 2.0), DomainError, _INTEGER),
+        (lambda w4: hierarchical_check(w4, 0, 4.0, 2.0), DomainError, _INTEGER),
+        (lambda w4: alpha_residual(w4, 2.9, 2.0, 2.0), DomainError, _INTEGER),
+        (lambda w4: ckw_check(w4, 1.0), DomainError, _INTEGER),
+        (lambda w4: indicator(w4, 2.0, focus=0.5), DomainError, _INTEGER),
+        (lambda w4: ghz(3.9), DomainError, _INTEGER),
+        (lambda w4: w_state(4.7), DomainError, _INTEGER),
+        (lambda w4: w_indicator_closed_form(3.5, 2.0), DomainError, _INTEGER),
+        (
+            lambda w4: random_pure_state((2, 2.9), np.random.default_rng(0)),
+            PartitionError,
+            _INTEGER,
+        ),
+        (lambda w4: PureState((2.5, 2), [1.0, 0.0, 0.0, 0.0]), PartitionError, _INTEGER),
+        (
+            lambda w4: random_biseparable_mixture(np.random.default_rng(0), members=2.7),
+            DomainError,
+            _INTEGER,
+        ),
+        (lambda w4: tee_cost((2, 3.6), 0, 2.0), PartitionError, _INTEGER),
+        (lambda w4: partial_trace(np.eye(4) / 4, (2.9, 2.2), (0,)), PartitionError, _INTEGER),
+        (lambda w4: partial_trace(np.eye(4) / 4, (4, 1), (0,)), PartitionError, "dimension >= 2"),
     ],
     ids=[
         "tee-party-1.7",
@@ -196,19 +222,78 @@ def test_hierarchical_focus_one(quick_roof):
         "alpha-focus-2.9",
         "ckw-focus-1.0",
         "indicator-focus-0.5",
+        "ghz-n-3.9",
+        "w-state-n-4.7",
+        "w-closed-form-n-3.5",
+        "random-pure-dims-2.9",
+        "pure-state-dims-2.5",
+        "biseparable-members-2.7",
+        "tee-cost-dims-3.6",
+        "partial-trace-dims-2.9",
+        "partial-trace-dims-1",
     ],
 )
-def test_non_integral_indices_are_refused(call, error):
-    # one rule for parties, foci and k: int() would read 1.7 as 1 and 3.9 as 3
-    with pytest.raises(error, match="must be an integer"):
+def test_non_integral_indices_are_refused(call, error, match):
+    # one rule for parties, foci, k, counts and dimensions: int() would read
+    # 1.7 as 1 and 3.9 as 3; a dimension must also be at least 2
+    with pytest.raises(error, match=match):
         call(w_state(4))
 
 
 def test_numpy_integer_indices_are_accepted():
     w4 = w_state(4)
-    one, four = np.int64(1), np.int64(4)
+    one, two, three, four = (np.int64(k) for k in (1, 2, 3, 4))
     assert tee_pure(w4, one, 2.0) == tee_pure(w4, 1, 2.0)
     assert hierarchical_check(w4, one, four, 2.0) == hierarchical_check(w4, 1, 4, 2.0)
+    assert np.array_equal(ghz(three).amplitudes, ghz(3).amplitudes)
+    assert np.array_equal(w_state(four).amplitudes, w4.amplitudes)
+    assert w_indicator_closed_form(three, 2.0) == w_indicator_closed_form(3, 2.0)
+    psi = random_pure_state((2, three), np.random.default_rng(0))
+    assert psi.dims == (2, 3) and type(psi.dims[1]) is int
+    ref = random_pure_state((2, 3), np.random.default_rng(0))
+    assert np.array_equal(psi.amplitudes, ref.amplitudes)
+    assert PureState((two, 2), [1.0, 0.0, 0.0, 0.0]).dims == (2, 2)
+    rho, ref_rho = (random_biseparable_mixture(np.random.default_rng(0), m) for m in (two, 2))
+    assert np.array_equal(rho.matrix, ref_rho.matrix)
+    values, grads = tee_cost((2, three), 0, 2.0)(psi.amplitudes[None])
+    ref_values, ref_grads = tee_cost((2, 3), 0, 2.0)(psi.amplitudes[None])
+    assert np.array_equal(values, ref_values) and np.array_equal(grads, ref_grads)
+    mat = psi.to_density().matrix
+    assert np.array_equal(partial_trace(mat, (two, three), (1,)), partial_trace(mat, (2, 3), (1,)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tee_from_concurrence_sq(math.nan, 2.0),
+        lambda: tee_from_concurrence_sq(np.array([0.5, math.nan]), 2.0),
+        lambda: tee_2xd(DensityMatrix((2, 2), np.eye(4) / 4), 2.0, math.nan),
+        lambda: binary_entropy(math.nan),
+        lambda: alpha_residual(w_state(4), 0, math.nan, 2.0),
+        lambda: holds_power_bound(math.nan, 2.0),
+        lambda: holds_power_bound(0.5, math.nan),
+        lambda: holds_sum_power_bound([0.5, math.nan], 2.0),
+        lambda: holds_sum_power_bound([0.5], math.nan),
+        lambda: Decomposition(((math.nan, w_state(3)),)),
+    ],
+    ids=[
+        "tee-curve-x",
+        "tee-curve-x-array",
+        "tee-2xd-c",
+        "binary-entropy-p",
+        "alpha-residual-alpha",
+        "power-bound-x",
+        "power-bound-t",
+        "sum-power-bound-entries",
+        "sum-power-bound-alpha",
+        "decomposition-weight",
+    ],
+)
+def test_nan_is_outside_every_range(call):
+    # each range check accepts only inside its range; a comparison with NaN
+    # is false, so a check written as "refuse outside" would let it through
+    with pytest.raises(DomainError):
+        call()
 
 
 # --- indicator ----------------------------------------------------------------------
