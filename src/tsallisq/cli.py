@@ -115,7 +115,9 @@ def parse_number(text: str) -> float:
 
 def parse_range(text: str) -> np.ndarray:
     """One value or lo:hi:third (third = step if it has '.' or an exponent,
-    subdivision count if it is a bare integer). Endpoints included."""
+    subdivision count if it is a bare integer). Endpoints included; they and
+    the step must be finite, while a single value is left to the axis's own
+    check."""
     parts = text.split(":")
     if len(parts) == 1:
         return np.array([parse_number(parts[0])])
@@ -123,6 +125,8 @@ def parse_range(text: str) -> np.ndarray:
         raise UsageError(f"range must look like lo:hi:step-or-count, got {text!r}")
     lo = parse_number(parts[0])
     hi = parse_number(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range endpoints must be finite, got {text!r}")
     if hi < lo:
         raise UsageError(f"range upper bound {hi:g} is below lower bound {lo:g}")
     third = parts[2].strip()
@@ -132,6 +136,8 @@ def parse_range(text: str) -> np.ndarray:
             raise UsageError("subdivision count must be at least 1")
         return np.linspace(lo, hi, count + 1)
     step = parse_number(third)
+    if not math.isfinite(step):
+        raise DomainError(f"range step must be finite, got {text!r}")
     if step <= 0.0:
         raise UsageError(f"step must be positive, got {step:g}")
     ratio = (hi - lo) / step
@@ -423,6 +429,10 @@ def _scan_grid(args, subject: str, payload: dict):
         return (xlabel, "q"), (xs, qs), func(xs[:, None], qs[None, :])
     labels = {"gw-indicator": ("theta", "phi"), "example3": ("theta", "q")}.get(subject, ("q",))
     axes = [parse_range(_require(args, f"--{label}", subject)) for label in labels]
+    for label, axis in zip(labels, axes):
+        # the q axes pass the kernels' order check; no kernel checks an angle
+        if label != "q" and not np.all(np.isfinite(axis)):
+            raise DomainError(f"--{label} must be finite, got {getattr(args, label)!r}")
     if subject == "gw-indicator":
         q = payload["q"] = _single_q(args, subject)
         values = _gw_indicator(axes[0][:, None], axes[1][None, :], q, args.focus)

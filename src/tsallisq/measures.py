@@ -34,6 +34,9 @@ _FLIP_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])
 # than qr's mode "r", which calls np.triu on every call
 _LOWER4 = np.tril(np.ones((4, 4)))
 _NEAR_ONE = 0.25
+# what a concurrence floor gives up to rounding, so that it stays a proven
+# lower bound of a roof value recomputed from a decomposition
+_FLOOR_MARGIN = 1e-13
 
 
 def _check_q(q) -> np.ndarray:
@@ -118,12 +121,17 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
-def _wootters(factor: np.ndarray):
+def _wootters(factor: np.ndarray, vectors: bool = False):
     """Wootters' l1 >= l2 >= l3 >= l4 and l1 - l2 - l3 - l4 for a stack of
     4x4 factors L of two-qubit states rho = L L^dagger: the l_i are the
-    singular values of tau = L^T (sigma_y x sigma_y) L."""
-    lam = np.linalg.svd(_spin_flip_overlaps(factor), compute_uv=False)
-    return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    singular values of tau = L^T (sigma_y x sigma_y) L.  With vectors, also
+    the unitary factors u and vh of tau = u diag(l) vh."""
+    tau = _spin_flip_overlaps(factor)
+    if not vectors:
+        lam = np.linalg.svd(tau, compute_uv=False)
+        return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    u, lam, vh = np.linalg.svd(tau)
+    return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], u, vh
 
 
 def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:
@@ -331,14 +339,14 @@ def concurrence_two_qubit(rho) -> ConcurrenceValue:
 
 def _caf_bound(rho: DensityMatrix) -> float:
     """Chen-Albeverio-Fei bound max(||rho^T_A||_1, ||R(rho)||_1) - 1 <= roof C
-    of a qubit-qudit state (PRL 95, 040504, 2005), less 1e-13 for the norms'
-    rounding and clipped at 0: exact on pure input, 0 on PPT input.  R(rho)
+    of a qubit-qudit state (PRL 95, 040504, 2005), less _FLOOR_MARGIN for the
+    norms' rounding and clipped at 0: exact on pure input, 0 on PPT input.  R(rho)
     has rho's (ik, jl) entry at (ij, kl), i and j indexing the first party."""
     da, db = rho.dims
     t = rho.matrix.reshape(da, db, da, db)
     pt = np.abs(np.linalg.eigvalsh(t.transpose(2, 1, 0, 3).reshape(da * db, -1))).sum()
     realigned = np.linalg.svd(t.transpose(0, 2, 1, 3).reshape(da * da, -1), compute_uv=False)
-    return max(0.0, max(float(pt), float(realigned.sum())) - 1.0 - 1e-13)
+    return max(0.0, max(float(pt), float(realigned.sum())) - 1.0 - _FLOOR_MARGIN)
 
 
 def concurrence_pure(psi: PureState, party: int = 0) -> float:

@@ -32,8 +32,13 @@ Without a floor the batch ends at the sweep where its best restart stops: a
 stopped restart keeps its value and a running one only goes down, so the rest
 could change the answer only by overtaking it.
 
-Results are deterministic for a fixed seed: restart k draws the same initial
-point no matter how many restarts follow it.
+Restart 0 starts at the eigendecomposition, the isometry [I; 0], except on two
+qubits, where it starts at a Wootters decomposition of rho (_wootters_start):
+its members have equal preconcurrence and average concurrence C(rho), so a
+concurrence roof stops at its floor before the first sweep, and every other
+cost starts from a decomposition that is optimal for the concurrence.  Results
+are deterministic for a fixed seed: restart k >= 1 draws the same Gaussian
+initial point no matter how many restarts follow it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .errors import DomainError, PartitionError
 from .linalg import _bipartition, _check_dims, _check_index, _check_party, _sq_norms
 from .measures import (
     _FLIP_SIGN,
+    _FLOOR_MARGIN,
     _caf_bound,
     _concurrence_values,
     _qlog,
@@ -56,6 +62,7 @@ from .measures import (
     _tee_curve,
     _tee_values,
     _window_q,
+    _wootters,
     as_q,
     concurrence_two_qubit,
 )
@@ -66,6 +73,11 @@ _MAX_RANK = 8
 _ACCEPT_SLACK = 1e-15
 _DROP_WEIGHT = 1e-12
 _TINY = np.finfo(float).tiny
+# the real 4x4 Hadamard matrix over 2: orthogonal, every entry squared 1/4
+_HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+# fifth roots of unity w: for a unitary p of size 4, one of them keeps the
+# spectrum of p / w at least pi/5 away from -1
+_ROOTS5 = np.exp(0.4j * np.pi * np.arange(5))
 
 
 @dataclass(frozen=True)
@@ -236,6 +248,44 @@ def _ensemble_gradient(iso, b_mat, dphi) -> np.ndarray:
     return g - iso @ (u + dag(u))
 
 
+def _wootters_start(b_mat: np.ndarray) -> np.ndarray:
+    """The 2r x r isometry of a two-qubit decomposition whose members have
+    average concurrence C(rho), for the weighted eigenvectors B of a rank
+    r >= 2 state (Wootters, PRL 80, 2245 (1998)).
+
+    With the factor L = [B^T, 0] and tau = L^T (sigma_y x sigma_y) L =
+    u diag(l) vh from _wootters, p = vh u* is unitary, commutes with diag(l)
+    and is symmetric where l > 0.  So a square root S of p that is a function
+    of p, the polar factor of I + p/w times sqrt(w), gives the Takagi form
+    tau = (u S) diag(l) (u S)^T, and the columns x_j of L (u S)* have
+    x_j^T (sigma_y x sigma_y) x_k = l_j delta_jk.  Phases e^(i theta_j / 2)
+    with sum_j e^(i theta_j) l_j = max(C, 0) (theta = (0, pi, pi, pi), or
+    angles that close the polygon of the l_j when C = 0) and the real
+    Hadamard mix give four members of equal preconcurrence, a quarter of that
+    sum each; halving members fills the 2r rows.
+    """
+    r = b_mat.shape[0]
+    factor = np.zeros((4, 4), dtype=complex)
+    factor[:, :r] = b_mat.T
+    lam, diff, u, vh = _wootters(factor, vectors=True)
+    shifted = np.eye(4) + (vh @ u.conj()) / _ROOTS5[:, None, None]
+    left, sing, right = np.linalg.svd(shifted)
+    k = int(np.argmax(sing[:, -1]))
+    takagi = (np.sqrt(_ROOTS5[k]) * (u @ left[k] @ right[k])).conj()
+    if diff >= 0.0:
+        turns = np.array([1.0, -1.0, -1.0, -1.0], dtype=complex)
+    else:
+        # a triangle with sides l1, l2 and l3 + l4, scaled by l1 > 0
+        b, c = lam[1] / lam[0], (lam[2] + lam[3]) / lam[0]
+        cos = min(1.0, max(-1.0, (c * c - 1.0 - b * b) / (2.0 * b)))
+        second = complex(cos, math.sqrt(1.0 - cos * cos))
+        third = np.exp(1j * np.angle(-(1.0 + b * second)))
+        turns = np.array([1.0, second, third, third])
+    iso = _HADAMARD4 @ (np.sqrt(turns)[:, None] * takagi[:r].T)
+    halves = np.repeat([2, 1], [2 * r - 4, 8 - 2 * r])
+    return np.repeat(iso / np.sqrt(halves)[:, None], halves, axis=0)
+
+
 def minimize_roof(
     rho: DensityMatrix,
     cost,
@@ -251,7 +301,10 @@ def minimize_roof(
     (grad f - Re<psi, grad f> psi), and each sweep makes one cost call, on the
     members above weight 1e-14 of the running restarts.  The returned value is
     an upper bound on the true roof (the optimizer can only certify what it
-    found), tight in practice for the ranks this package allows.
+    found), tight in practice for the ranks this package allows.  Restart 0
+    starts at [I; 0], or on two qubits at a decomposition with average
+    concurrence C(rho) (module docstring); restart k >= 1 at the k-th seeded
+    Gaussian draw.
 
     floor, when given, must be a proven lower bound of the roof of rho, that
     is of the cost averaged over every decomposition of rho (a lower bound of
@@ -290,7 +343,10 @@ def minimize_roof(
     n_restart = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
     draws = np.zeros((n_restart, m, r), dtype=complex)
-    draws[0, :r, :r] = np.eye(r)
+    if dims == (2, 2):
+        draws[0] = _wootters_start(b_mat)
+    else:
+        draws[0, :r, :r] = np.eye(r)
     if n_restart > 1:
         # one contiguous draw per restart keeps restart k's start independent
         # of how many restarts come after it
@@ -452,12 +508,14 @@ def roof_concurrence(
 ) -> RoofResult:
     """Convex-roof concurrence of a bipartite mixed state, stopped within
     tolerance of its floor: Wootters at (2, 2), which is the roof itself, the
-    Chen-Albeverio-Fei bound for a qubit against a qudit, 0 otherwise."""
+    Chen-Albeverio-Fei bound for a qubit against a qudit, 0 otherwise.  Both
+    bounds give up _FLOOR_MARGIN for rounding, clipped at 0, so [lower, value]
+    stays a proven bracket where the two-qubit start lands on C within ulps."""
     if rho.num_sites != 2:
         raise PartitionError(f"roof concurrence expects a bipartite state, got dims {rho.dims}")
     cost = concurrence_cost(rho.dims, party)
     if rho.dims == (2, 2):
-        floor = concurrence_two_qubit(rho).c
+        floor = max(0.0, concurrence_two_qubit(rho).c - _FLOOR_MARGIN)
     else:
         floor = _caf_bound(rho) if 2 in rho.dims else 0.0
     return minimize_roof(rho, cost, config, floor=floor)

@@ -403,6 +403,37 @@ def test_nan_range_values_are_refused(capsys, argv, message):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "example3", "--theta", "nan", "--q", "2"], "--theta must be finite, got 'nan'"),
+        (
+            ["scan", "gw-indicator", "--theta", "nan", "--phi", "0", "--q", "2"],
+            "--theta must be finite, got 'nan'",
+        ),
+        (
+            ["scan", "gw-indicator", "--theta", "0.5", "--phi", "inf", "--q", "2"],
+            "--phi must be finite, got 'inf'",
+        ),
+        (
+            ["scan", "example3", "--theta", "0:inf:4", "--q", "2"],
+            "range endpoints must be finite, got '0:inf:4'",
+        ),
+        (
+            ["scan", "tee-curvature", "--x", "0:1:nan", "--q", "2"],
+            "range step must be finite, got '0:1:nan'",
+        ),
+    ],
+)
+def test_non_finite_axes_are_refused(capsys, argv, message):
+    # an angle axis used to scan NaN and print min nan, max nan with numpy
+    # warnings; a NaN step raised a traceback and an infinite one made a
+    # one-point grid
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_indicator_pure_n_qubits(capsys):
     assert main(["indicator", "w:4", "--q", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
