@@ -28,13 +28,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .measures import (
-    ANALYTIC_Q_MAX,
-    ANALYTIC_Q_MIN,
-    _EDGE,
+    _check_alpha,
     _check_q,
     _check_xq,
     _qlog,
     _tee_curve,
+    _unit_interval,
 )
 
 
@@ -175,14 +174,12 @@ def find_root_q(func, bracket, *, f_tol=1e-10, x_tol=1e-12, max_iter=200, trace=
 
 
 def critical_q() -> tuple[float, float]:
-    """Both roots of the c -> 1 curvature limit, found numerically and then
-    checked against the closed forms (5 -+ sqrt(13))/2 to 1e-10."""
+    """Both roots of the c -> 1 curvature limit, found by bisection; the
+    closed forms are (5 -+ sqrt(13))/2."""
     # The limit curve is shallow near the upper root (slope ~ -0.52), so the
     # default f_tol would leave ~2e-10 of x error.  Tighten both tolerances.
     lo = find_root_q(curvature_limit_at_max_c, (0.2, 0.95), f_tol=1e-14, x_tol=5e-14)
     hi = find_root_q(curvature_limit_at_max_c, (4.05, 4.8), f_tol=1e-14, x_tol=5e-14)
-    if abs(lo - ANALYTIC_Q_MIN) > 1e-10 or abs(hi - ANALYTIC_Q_MAX) > 1e-10:
-        raise RuntimeError(f"critical-q roots ({lo!r}, {hi!r}) drifted from the closed forms")
     return lo, hi
 
 
@@ -341,10 +338,8 @@ def scan_sign(kind, xs, qs, claimed_sign, tolerance=_SIGN_TOL) -> SignScanReport
 
 def holds_power_bound(x: float, t: float) -> bool:
     """(1+x)^t >= 1 + x^t for x in [0, 1], t >= 1 (with 1e-12 slack)."""
-    x = float(x)
+    x = float(_unit_interval(x, "x"))
     t = float(t)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if not t >= 1.0:
         raise DomainError(f"t must be >= 1, got {t!r}")
     return (1.0 + x) ** t + 1e-12 >= 1.0 + x**t
@@ -353,11 +348,8 @@ def holds_power_bound(x: float, t: float) -> bool:
 def holds_sum_power_bound(xs, alpha: float) -> bool:
     """(sum x_i^2)^(alpha/2) >= sum x_i^alpha for entries in [0, 1], alpha >= 2."""
     arr = np.asarray(xs, dtype=float).ravel()
-    alpha = float(alpha)
     if arr.size == 0:
         raise DomainError("need at least one entry")
-    if not np.all((arr >= 0.0) & (arr <= 1.0 + _EDGE)):
-        raise DomainError("entries must lie in [0, 1]")
-    if not alpha >= 2.0:
-        raise DomainError(f"alpha must be >= 2, got {alpha!r}")
+    arr = _unit_interval(arr, "entries")
+    alpha = _check_alpha(alpha)
     return float(np.sum(arr**2)) ** (alpha / 2.0) + 1e-12 >= float(np.sum(arr**alpha))

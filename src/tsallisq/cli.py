@@ -201,21 +201,19 @@ def resolve_state(spec: str | None, infile: str | None):
 # --- output plumbing -------------------------------------------------------------
 
 
-def _write_text(args, text: str) -> None:
+def _emit(args, human_lines, payload) -> None:
+    """A command's output: its payload under --json, else its human lines;
+    written to --out FILE when given, else to stdout."""
+    if getattr(args, "json", False):
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join(human_lines) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit(args, human_lines, payload: dict) -> None:
-    if getattr(args, "json", False):
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(human_lines) + "\n"
-    _write_text(args, text)
 
 
 def _roof_config(args) -> RoofConfig:
@@ -240,16 +238,17 @@ def _roof_fields(roof, args) -> dict:
 
 
 # --- subcommands ------------------------------------------------------------------
+#
+# Each command takes the parsed arguments, with the state already resolved, and
+# returns its human lines and its --json payload; verify adds its exit code.
 
 
-def cmd_state(args) -> int:
-    state = resolve_state(args.spec, None)
-    _write_text(args, json.dumps(_state_payload(state)) + "\n")
-    return 0
+def cmd_state(args):
+    return [json.dumps(_state_payload(args.state))], None
 
 
-def cmd_entropy(args) -> int:
-    state = resolve_state(args.state, args.infile)
+def cmd_entropy(args):
+    state = args.state
     q = parse_number(args.q)
     keep = _parse_keep(args.keep) if args.keep else None
     if isinstance(state, PureState):
@@ -264,55 +263,43 @@ def cmd_entropy(args) -> int:
         "keep": list(keep) if keep else None,
         "value": value,
     }
-    _emit(args, [f"{value:.6g}"], payload)
-    return 0
+    return [f"{value:.6g}"], payload
 
 
-def cmd_concurrence(args) -> int:
-    state = resolve_state(args.state, args.infile)
+def cmd_concurrence(args):
+    state = args.state
     _check_party(state.dims, args.cut)
     payload: dict = {"command": "concurrence", "cut": args.cut}
     if isinstance(state, PureState):
-        c = concurrence_pure(state, args.cut)
-        payload.update(method="pure", c=c)
-        _emit(args, [f"{c:.6g}"], payload)
-        return 0
-    if state.dims == (2, 2):
+        payload.update(method="pure", c=concurrence_pure(state, args.cut))
+    elif state.dims == (2, 2):
         cv = concurrence_two_qubit(state)
         payload.update(method="wootters", c=cv.c, lambdas=list(cv.lambdas))
-        _emit(args, [f"{cv.c:.6g}"], payload)
-        return 0
-    if state.num_sites == 2:
+    elif state.num_sites == 2:
         roof = roof_concurrence(state, _roof_config(args), party=args.cut)
         payload.update(method="roof", c=roof.value, **_roof_fields(roof, args))
-        _emit(args, [f"{roof.value:.6g}"], payload)
-        return 0
-    raise DomainError(
-        "concurrence for mixed states needs a bipartite density matrix"
-    )
+    else:
+        raise DomainError(
+            "concurrence for mixed states needs a bipartite density matrix"
+        )
+    return [f"{payload['c']:.6g}"], payload
 
 
-def cmd_tee(args) -> int:
-    state = resolve_state(args.state, args.infile)
+def cmd_tee(args):
+    state = args.state
     q = parse_number(args.q)
     qp = as_q(q)
     _check_party(state.dims, args.cut)
     payload: dict = {"command": "tee", "q": q, "cut": args.cut}
     if isinstance(state, PureState):
-        value = tee_pure(state, args.cut, qp)
-        payload.update(method="pure", value=value, exact=True)
-        _emit(args, [f"{value:.6g}"], payload)
-        return 0
-    if state.dims == (2, 2):
-        value = tee_two_qubit(state, qp, force_q=args.force_q)
+        payload.update(method="pure", value=tee_pure(state, args.cut, qp), exact=True)
+    elif state.dims == (2, 2):
         payload.update(
             method="two-qubit",
-            value=value,
+            value=tee_two_qubit(state, qp, force_q=args.force_q),
             exact=bool(qp.analytic_two_qubit),
         )
-        _emit(args, [f"{value:.6g}"], payload)
-        return 0
-    if state.num_sites == 2 and 2 in state.dims:
+    elif state.num_sites == 2 and 2 in state.dims:
         roof = roof_concurrence(state, _roof_config(args), party=state.dims.index(2))
         est = tee_2xd(state, qp, roof.value)
         # T_q is increasing in c, so the concurrence floor maps to a TEE floor
@@ -324,33 +311,30 @@ def cmd_tee(args) -> int:
             roof_concurrence=roof.value,
             **(_roof_fields(roof, args) | {"lower": lower, "gap": est.value - lower}),
         )
-        _emit(args, [f"{est.value:.6g}"], payload)
-        return 0
-    raise DomainError(
-        "tee for mixed states supports (2,2) and qubit-qudit bipartitions only"
-    )
+    else:
+        raise DomainError(
+            "tee for mixed states supports (2,2) and qubit-qudit bipartitions only"
+        )
+    return [f"{payload['value']:.6g}"], payload
 
 
-def cmd_monogamy(args) -> int:
-    state = resolve_state(args.state, args.infile)
+def cmd_monogamy(args):
+    state = args.state
     if not isinstance(state, PureState):
         raise DomainError(
             "monogamy checks take pure states; use the indicator command for "
             "mixed three-qubit input"
         )
+    # the parser keeps --ckw, --alpha and --k apart
     if args.ckw:
         if args.q is not None:
             raise UsageError("--ckw is q-free; drop the --q flag")
-        if args.alpha is not None or args.k is not None:
-            raise UsageError("--ckw takes neither --alpha nor --k")
         report = ckw_check(state, args.focus)
         variant = "ckw"
+    elif args.q is None:
+        raise UsageError("--q is required (or pass --ckw)")
     else:
-        if args.q is None:
-            raise UsageError("--q is required (or pass --ckw)")
         q = parse_number(args.q)
-        if args.alpha is not None and args.k is not None:
-            raise UsageError("--alpha and --k are mutually exclusive")
         if args.alpha is not None:
             report = alpha_residual(state, args.focus, args.alpha, q)
             variant = "alpha"
@@ -377,14 +361,12 @@ def cmd_monogamy(args) -> int:
         "partners": [list(p) if isinstance(p, tuple) else p for p in report.partners],
     }
     verdict = "SATISFIED" if report.satisfied else "VIOLATED"
-    _emit(args, [f"{report.residual:.6g}, {verdict}"], payload)
-    return 0
+    return [f"{report.residual:.6g}, {verdict}"], payload
 
 
-def cmd_indicator(args) -> int:
-    state = resolve_state(args.state, args.infile)
+def cmd_indicator(args):
     q = parse_number(args.q)
-    result = indicator(state, q, _roof_config(args), focus=args.focus)
+    result = indicator(args.state, q, _roof_config(args), focus=args.focus)
     payload = {
         "command": "indicator",
         "q": q,
@@ -397,44 +379,29 @@ def cmd_indicator(args) -> int:
     line = f"{result.value:.6g}"
     if result.upper_bound:
         line += " (upper bound)"
-    _emit(args, [line], payload)
-    return 0
+    return [line], payload
 
 
 # a copy, so replacing an entry here never reaches scan_sign's table
 _CURVATURE_SUBJECTS = dict(_SCAN_KINDS)
 
-_FAMILY_SUBJECTS = ("gw-indicator", "w-indicator", "example3", "example4", "example5")
 
-
-def _require(args, flag: str, subject: str) -> str:
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise UsageError(f"scan {subject} needs {flag}")
-    return value
-
-
-def _single_q(args, subject: str) -> float:
-    text = _require(args, "--q", subject)
-    if ":" in text:
-        raise UsageError(f"scan {subject} takes a single --q value, not a range")
-    return parse_number(text)
-
-
-def _scan_grid(args, subject: str, payload: dict):
-    """(axis labels, axes, values on the product of the axes) of one scan."""
+def _scan_grid(args, payload: dict):
+    """(axis labels, axes, values on the product of the axes) of one scan;
+    the subject's parser has made sure every flag read here was given."""
+    subject = args.subject
     if subject in _CURVATURE_SUBJECTS:
         func, xlabel = _CURVATURE_SUBJECTS[subject]
-        xs, qs = (parse_range(_require(args, flag, subject)) for flag in ("--x", "--q"))
+        xs, qs = parse_range(args.x), parse_range(args.q)
         return (xlabel, "q"), (xs, qs), func(xs[:, None], qs[None, :])
     labels = {"gw-indicator": ("theta", "phi"), "example3": ("theta", "q")}.get(subject, ("q",))
-    axes = [parse_range(_require(args, f"--{label}", subject)) for label in labels]
+    axes = [parse_range(getattr(args, label)) for label in labels]
     for label, axis in zip(labels, axes):
         # the q axes pass the kernels' order check; no kernel checks an angle
         if label != "q" and not np.all(np.isfinite(axis)):
             raise DomainError(f"--{label} must be finite, got {getattr(args, label)!r}")
     if subject == "gw-indicator":
-        q = payload["q"] = _single_q(args, subject)
+        q = payload["q"] = parse_number(args.q)
         values = _gw_indicator(axes[0][:, None], axes[1][None, :], q, args.focus)
     elif subject == "example3":
         values = example3_residual(axes[0][:, None], axes[1][None, :])
@@ -446,10 +413,10 @@ def _scan_grid(args, subject: str, payload: dict):
     return labels, axes, values
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     subject = args.subject
     payload: dict = {"command": "scan", "subject": subject, "csv": args.csv}
-    report = SignScanReport(subject, *_scan_grid(args, subject, payload), args.sign)
+    report = SignScanReport(subject, *_scan_grid(args, payload), args.sign)
     payload.update(report.summary())
     lo, hi = report.min_value, report.max_value
     human = [f"{subject}: {report.values.size} points, min {lo:.6g}, max {hi:.6g}"]
@@ -463,8 +430,7 @@ def cmd_scan(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             report.to_csv(fh)
         human.append(f"csv written to {args.csv}")
-    _emit(args, human, payload)
-    return 0
+    return human, payload
 
 
 # --- verify suites -----------------------------------------------------------------
@@ -750,17 +716,17 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
+    # RoofConfig owns the seed rule; it holds for every suite, roof or not
+    seed = RoofConfig(seed=args.seed).seed
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines = []
     payload_suites = []
-    all_passed = True
     for name in names:
-        checks = _SUITES[name](args.seed)
+        checks = _SUITES[name](seed)
         for c in checks:
             tag = "PASS" if c["passed"] else "FAIL"
             lines.append(f"{tag} {name}/{c['name']}: {c['detail']}")
-            all_passed = all_passed and c["passed"]
         payload_suites.append({"suite": name, "checks": checks})
     total = sum(len(s["checks"]) for s in payload_suites)
     passed = sum(c["passed"] for s in payload_suites for c in s["checks"])
@@ -770,10 +736,9 @@ def cmd_verify(args) -> int:
         "suites": payload_suites,
         "passed": passed,
         "total": total,
-        "ok": all_passed,
+        "ok": passed == total,
     }
-    _emit(args, lines, payload)
-    return 0 if all_passed else 3
+    return lines, payload, 0 if passed == total else 3
 
 
 # --- parser ------------------------------------------------------------------------
@@ -799,6 +764,18 @@ def _add_roof_args(sp) -> None:
     sp.add_argument("--restarts", type=int, default=32, help="roof optimizer restarts")
 
 
+def _add_scan_subject(subjects, name: str, **required: str):
+    """One scan subject's parser: the flags it must be given, then the sign
+    claim and outputs every subject takes.  It knows no other flag."""
+    sp = subjects.add_parser(name)
+    for flag, help_text in required.items():
+        sp.add_argument(f"--{flag}", required=True, help=help_text)
+    sp.add_argument("--sign", choices=("nonnegative", "nonpositive"))
+    sp.add_argument("--csv", metavar="FILE", help="write the grid as CSV to FILE")
+    _add_output_args(sp)
+    return sp
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="tsallisq",
@@ -807,9 +784,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("state", help="materialize a named state as JSON")
-    sp.add_argument("spec", help="state shorthand, e.g. w:4 or gw:pi/2:pi/4")
+    sp.add_argument("state", metavar="spec", help="state shorthand, e.g. w:4 or gw:pi/2:pi/4")
     sp.add_argument("--out", metavar="FILE")
-    sp.set_defaults(func=cmd_state)
+    sp.set_defaults(func=cmd_state, infile=None)
 
     sp = sub.add_parser("entropy", help="Tsallis-q entropy of a state or marginal")
     _add_state_args(sp)
@@ -842,9 +819,10 @@ def build_parser() -> _Parser:
     _add_state_args(sp)
     sp.add_argument("--q", help="entropic order (omit with --ckw)")
     sp.add_argument("--focus", type=int, default=0)
-    sp.add_argument("--alpha", type=float, help="power-monogamy exponent (>= 2)")
-    sp.add_argument("--k", type=int, help="hierarchy level (3..N)")
-    sp.add_argument("--ckw", action="store_true", help="squared-concurrence check")
+    variant = sp.add_mutually_exclusive_group()
+    variant.add_argument("--alpha", type=float, help="power-monogamy exponent (finite, >= 2)")
+    variant.add_argument("--k", type=int, help="hierarchy level (3..N)")
+    variant.add_argument("--ckw", action="store_true", help="squared-concurrence check")
     _add_roof_args(sp)
     _add_output_args(sp)
     sp.set_defaults(func=cmd_monogamy)
@@ -860,20 +838,21 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_indicator)
 
     sp = sub.add_parser("scan", help="grid scans; optional CSV and sign claims")
-    sp.add_argument(
-        "subject",
-        choices=sorted(_CURVATURE_SUBJECTS) + list(_FAMILY_SUBJECTS),
-    )
-    sp.add_argument("--x", help="x (or c) range lo:hi:step-or-count")
-    sp.add_argument("--q", help="q value or range")
-    sp.add_argument("--theta", help="theta range")
-    sp.add_argument("--phi", help="phi range")
-    sp.add_argument("--n", type=int, default=3, help="W-family size for w-indicator")
-    sp.add_argument("--focus", type=int, default=0)
-    sp.add_argument("--sign", choices=("nonnegative", "nonpositive"))
-    sp.add_argument("--csv", metavar="FILE", help="write the grid as CSV to FILE")
-    _add_output_args(sp)
     sp.set_defaults(func=cmd_scan)
+    subjects = sp.add_subparsers(dest="subject", required=True)
+    for name, (_, xlabel) in sorted(_CURVATURE_SUBJECTS.items()):
+        _add_scan_subject(
+            subjects, name, x=f"{xlabel} range lo:hi:step-or-count", q="q value or range"
+        )
+    gw = _add_scan_subject(
+        subjects, "gw-indicator", theta="theta range", phi="phi range", q="single q value"
+    )
+    gw.add_argument("--focus", type=int, default=0)
+    w = _add_scan_subject(subjects, "w-indicator", q="q value or range")
+    w.add_argument("--n", type=int, default=3, help="W-family size for w-indicator")
+    _add_scan_subject(subjects, "example3", theta="theta range", q="q value or range")
+    for name in ("example4", "example5"):
+        _add_scan_subject(subjects, name, q="q value or range")
 
     sp = sub.add_parser("verify", help="run a self-check suite (exit 3 on failure)")
     sp.add_argument("suite", choices=sorted(_SUITES) + ["all"])
@@ -888,7 +867,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if "state" in args:
+            args.state = resolve_state(args.state, args.infile)
+        human_lines, payload, *code = args.func(args)
+        _emit(args, human_lines, payload)
+        return code[0] if code else 0
     except (UsageError, StateFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -61,6 +61,16 @@ def _unit_interval(x, name: str) -> np.ndarray:
     return np.clip(xa, 0.0, 1.0)
 
 
+def _check_alpha(alpha) -> float:
+    """A power-monogamy exponent as a float, once it is finite and >= 2: the
+    one rule for it.  NaN is not >= 2 and is refused."""
+    a = float(alpha)
+    if not 2.0 <= a < math.inf:
+        need = "finite" if a == math.inf else ">= 2"
+        raise DomainError(f"alpha must be {need}, got {a!r}")
+    return a
+
+
 def _check_xq(x, q) -> tuple[np.ndarray, np.ndarray]:
     """Squared concurrences on [0, 1] and entropic orders, as float arrays."""
     return _unit_interval(x, "squared concurrence"), _check_q(q)
@@ -121,17 +131,12 @@ def _spin_flip_overlaps(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...il->...kl", m, _FLIP_SIGN[:, None] * m[..., ::-1, :])
 
 
-def _wootters(factor: np.ndarray, vectors: bool = False):
+def _wootters(factor: np.ndarray):
     """Wootters' l1 >= l2 >= l3 >= l4 and l1 - l2 - l3 - l4 for a stack of
     4x4 factors L of two-qubit states rho = L L^dagger: the l_i are the
-    singular values of tau = L^T (sigma_y x sigma_y) L.  With vectors, also
-    the unitary factors u and vh of tau = u diag(l) vh."""
-    tau = _spin_flip_overlaps(factor)
-    if not vectors:
-        lam = np.linalg.svd(tau, compute_uv=False)
-        return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-    u, lam, vh = np.linalg.svd(tau)
-    return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], u, vh
+    singular values of tau = L^T (sigma_y x sigma_y) L."""
+    lam = np.linalg.svd(_spin_flip_overlaps(factor), compute_uv=False)
+    return lam, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
 
 
 def _pair_concurrence_sq(vecs: np.ndarray, dims, pairs) -> np.ndarray:

@@ -17,6 +17,7 @@ from .errors import DomainError, QRangeError
 from .linalg import _bipartition, _check_index
 from .measures import (
     QParam,
+    _check_alpha,
     _check_q,
     _curve_spectrum,
     _eig2_descending,
@@ -136,9 +137,7 @@ def alpha_residual(
     psi: PureState, focus: int, alpha: float, q, tolerance: float = _DEFAULT_TOL
 ) -> MonogamyReport:
     """alpha-th power monogamy (alpha >= 2) for an N-qubit pure state."""
-    alpha = float(alpha)
-    if not alpha >= 2.0:
-        raise DomainError(f"alpha must be >= 2, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     qp = _window_q(q)
     partners = _qubit_partners(psi.dims, focus)
     lhs, terms = _power_rows(psi.amplitudes[None], psi.dims, focus, partners, alpha, qp.q)

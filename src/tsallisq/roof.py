@@ -58,11 +58,11 @@ from .measures import (
     _qlog,
     _pair_gather,
     _qubit_partners,
+    _spin_flip_overlaps,
     _tau_residual,
     _tee_curve,
     _tee_values,
     _window_q,
-    _wootters,
     as_q,
     concurrence_two_qubit,
 )
@@ -254,7 +254,7 @@ def _wootters_start(b_mat: np.ndarray) -> np.ndarray:
     r >= 2 state (Wootters, PRL 80, 2245 (1998)).
 
     With the factor L = [B^T, 0] and tau = L^T (sigma_y x sigma_y) L =
-    u diag(l) vh from _wootters, p = vh u* is unitary, commutes with diag(l)
+    u diag(l) vh (its SVD), p = vh u* is unitary, commutes with diag(l)
     and is symmetric where l > 0.  So a square root S of p that is a function
     of p, the polar factor of I + p/w times sqrt(w), gives the Takagi form
     tau = (u S) diag(l) (u S)^T, and the columns x_j of L (u S)* have
@@ -267,12 +267,12 @@ def _wootters_start(b_mat: np.ndarray) -> np.ndarray:
     r = b_mat.shape[0]
     factor = np.zeros((4, 4), dtype=complex)
     factor[:, :r] = b_mat.T
-    lam, diff, u, vh = _wootters(factor, vectors=True)
+    u, lam, vh = np.linalg.svd(_spin_flip_overlaps(factor))
     shifted = np.eye(4) + (vh @ u.conj()) / _ROOTS5[:, None, None]
     left, sing, right = np.linalg.svd(shifted)
     k = int(np.argmax(sing[:, -1]))
     takagi = (np.sqrt(_ROOTS5[k]) * (u @ left[k] @ right[k])).conj()
-    if diff >= 0.0:
+    if lam[0] - lam[1] - lam[2] - lam[3] >= 0.0:
         turns = np.array([1.0, -1.0, -1.0, -1.0], dtype=complex)
     else:
         # a triangle with sides l1, l2 and l3 + l4, scaled by l1 > 0

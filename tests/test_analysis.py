@@ -486,6 +486,18 @@ def test_power_bound_rejects_bad_args():
         holds_sum_power_bound(np.array([0.5]), 1.5)
 
 
+def test_power_bounds_share_the_unit_interval_rule():
+    # the one [0, 1] rule of tee_from_concurrence_sq: within 1e-12 of the
+    # interval a value is clipped onto it, beyond that it is refused with the
+    # messages these checks always gave
+    assert holds_power_bound(1.0 + 1e-13, 2.0) and holds_power_bound(-1e-13, 7.0)
+    assert holds_sum_power_bound([-1e-13, 1.0 + 1e-13], 3.0)
+    with pytest.raises(DomainError, match=r"^x must lie in \[0, 1\], got 1\.000000000002$"):
+        holds_power_bound(1.0 + 2e-12, 2.0)
+    with pytest.raises(DomainError, match=r"^entries must lie in \[0, 1\]$"):
+        holds_sum_power_bound([0.5, -2e-12], 2.0)
+
+
 def test_sign_report_counts_every_violation_and_keeps_ten():
     axes = (np.array([0.0, 0.5, 1.0]), np.arange(1.0, 8.0))
     values = -(1.0 + np.arange(21.0)).reshape(3, 7) / 4.0

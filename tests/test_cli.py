@@ -10,15 +10,28 @@ import pytest
 
 from tsallisq import (
     DensityMatrix,
+    RoofConfig,
     SignScanReport,
+    alpha_residual,
+    ckw_check,
+    concurrence_two_qubit,
+    example3_state,
+    example4_state,
+    example5_state,
+    generalized_w,
+    ghz,
+    hierarchical_check,
     load_state,
     random_biseparable_mixture,
     random_pure_state,
     save_state,
     tee_from_concurrence_sq,
+    tee_pure,
+    tsallis_entropy,
     w_indicator_closed_form,
+    w_state,
 )
-from tsallisq import cli
+from tsallisq import analysis, cli
 from tsallisq.cli import UsageError, main, parse_number, parse_range
 
 
@@ -585,3 +598,177 @@ def test_python_dash_m_package_runs_the_cli():
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout != ""
+
+
+# --- rules the parser owns, and paths no other test reaches ---------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["scan", "example4", "--q", "1:2:2", "--theta", "5", "--focus", "9", "--n", "77"],
+            "unrecognized arguments: --theta 5 --focus 9 --n 77",
+        ),
+        (
+            ["scan", "tee-curvature", "--x", "0:1:4", "--q", "2", "--n", "4"],
+            "unrecognized arguments: --n 4",
+        ),
+        (
+            ["scan", "example3", "--theta", "0:1:2", "--q", "2", "--phi", "0"],
+            "unrecognized arguments: --phi 0",
+        ),
+        (["scan", "--json", "example4", "--q", "1:2:2"], "unrecognized arguments: --json"),
+        (
+            ["scan", "gw-indicator", "--theta", "0:1:2", "--q", "2"],
+            "the following arguments are required: --phi",
+        ),
+        (["scan", "tee-sq-curvature", "--q", "2"], "the following arguments are required: --x"),
+    ],
+)
+def test_scan_subjects_take_only_their_own_flags(capsys, argv, message):
+    # each subject's parser declares the flags it reads: an ignored flag used
+    # to be accepted silently, and the grid printed as if it were absent
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["monogamy", "w:3", "--q", "2", "--alpha", "3", "--k", "3"],
+            "argument --k: not allowed with argument --alpha",
+        ),
+        (["monogamy", "w:3"], "--q is required (or pass --ckw)"),
+        (["scan", "tee-curvature", "--x", "0:1:-0.5", "--q", "2"], "step must be positive, got -0.5"),
+        (
+            ["entropy", "ghz:3", "--q", "2", "--keep", "0,a"],
+            "--keep wants comma-separated indices, got '0,a'",
+        ),
+        (["entropy", "--q", "2"], "provide exactly one of a state spec or --in FILE"),
+        (["tee", "gw:pi/2", "--q", "2"], "gw needs two angles, e.g. gw:pi/2:pi/4"),
+        (["tee", "example3", "--q", "2"], "example3 needs an angle, e.g. example3:pi/4"),
+        (["tee", "ghz:x", "--q", "2"], "bad qubit count in 'ghz:x'"),
+    ],
+)
+def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_infinite_alpha_is_refused(capsys):
+    # alpha >= 2 was the whole rule, so inf printed "0, SATISFIED" and its
+    # --json payload read "alpha": Infinity, which is not JSON
+    for extra in ([], ["--json"]):
+        assert main(["monogamy", "ghz:3", "--q", "2", "--alpha", "inf", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: alpha must be finite, got inf\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES) + ["all"])
+def test_verify_refuses_a_negative_seed_before_any_suite(capsys, suite):
+    # theorem3-sweep used to end in numpy's traceback and appendix-a to pass
+    assert main(["verify", suite, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be nonnegative\n" and captured.out == ""
+
+
+def test_a_drifted_critical_q_root_fails_its_check(capsys, monkeypatch):
+    # critical_q returns its bisection roots and the verify check judges them;
+    # a drift used to raise a RuntimeError that escaped as a traceback
+    find_root = analysis.find_root_q
+    monkeypatch.setattr(analysis, "find_root_q", lambda *a, **kw: find_root(*a, **kw) + 1e-9)
+    assert main(["verify", "appendix-a"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL appendix-a/critical-q-roots: ")
+    assert lines[-1] == "3/4 checks passed"
+
+
+@pytest.mark.parametrize(
+    "verb,message",
+    [
+        (["concurrence"], "concurrence for mixed states needs a bipartite density matrix"),
+        (
+            ["tee", "--q", "2"],
+            "tee for mixed states supports (2,2) and qubit-qudit bipartitions only",
+        ),
+        (
+            ["monogamy", "--q", "2"],
+            "monogamy checks take pure states; use the indicator command for "
+            "mixed three-qubit input",
+        ),
+    ],
+)
+def test_mixed_three_qubit_input_is_refused_where_no_route_takes_it(
+    tmp_path, capsys, rng, verb, message
+):
+    path = tmp_path / "bisep.json"
+    save_state(random_biseparable_mixture(rng, members=2), path)
+    assert main([verb[0], str(path), *verb[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec,state",
+    [
+        ("gw:pi/2:pi/4", generalized_w(math.pi / 2, math.pi / 4)),
+        ("example3:pi/4", example3_state(math.pi / 4)),
+        ("example4", example4_state()),
+        ("example5", example5_state()),
+    ],
+)
+def test_family_shorthands_resolve_to_the_library_states(capsys, spec, state):
+    assert main(["tee", spec, "--q", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == tee_pure(state, 0, 2.0)
+
+
+def test_concurrence_of_a_two_qubit_file_reports_wootters_lambdas(tmp_path, capsys, rng):
+    a, b = (random_pure_state((2, 2), rng).to_density().matrix for _ in range(2))
+    path = tmp_path / "rho22.json"
+    save_state(DensityMatrix((2, 2), 0.7 * a + 0.3 * b), path)
+    assert main(["concurrence", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = concurrence_two_qubit(load_state(path))
+    assert payload["method"] == "wootters" and payload["c"] == want.c
+    assert payload["lambdas"] == list(want.lambdas)
+
+
+def test_entropy_keeps_a_marginal_of_a_mixed_file(tmp_path, capsys, rng):
+    path = tmp_path / "bisep.json"
+    save_state(random_biseparable_mixture(rng, members=2), path)
+    assert main(["entropy", "--in", str(path), "--q", "2", "--keep", "0,2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"] == [2, 2] and payload["keep"] == [0, 2]
+    assert payload["value"] == tsallis_entropy(load_state(path).partial_trace((0, 2)), 2.0)
+
+
+@pytest.mark.parametrize(
+    "argv,variant,report",
+    [
+        (
+            ["w:4", "--q", "2", "--alpha", "3"],
+            "alpha",
+            lambda: alpha_residual(w_state(4), 0, 3.0, 2.0),
+        ),
+        (
+            ["w:5", "--q", "2", "--k", "3"],
+            "hierarchical",
+            lambda: hierarchical_check(w_state(5), 0, 3, 2.0, RoofConfig()),
+        ),
+        (["ghz:3", "--ckw"], "ckw", lambda: ckw_check(ghz(3), 0)),
+    ],
+)
+def test_monogamy_variants_report_the_library_values(capsys, argv, variant, report):
+    assert main(["monogamy", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = report()
+    assert payload["variant"] == variant
+    got = (payload["lhs"], payload["terms"], payload["residual"])
+    assert got == (want.lhs, list(want.terms), want.residual)
+    assert main(["monogamy", *argv]) == 0
+    verdict = "SATISFIED" if want.satisfied else "VIOLATED"
+    assert capsys.readouterr().out == f"{want.residual:.6g}, {verdict}\n"

@@ -296,6 +296,20 @@ def test_nan_is_outside_every_range(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_residual(w_state(4), 0, math.inf, 2.0),
+        lambda: holds_sum_power_bound([0.5], math.inf),
+    ],
+    ids=["alpha-residual", "sum-power-bound"],
+)
+def test_infinite_alpha_is_refused(call):
+    # alpha >= 2 was the whole rule, so inf passed and every power read 0
+    with pytest.raises(DomainError, match=r"^alpha must be finite, got inf$"):
+        call()
+
+
 # --- indicator ----------------------------------------------------------------------
 
 
