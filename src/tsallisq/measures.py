@@ -204,16 +204,16 @@ def _marginal(states, dims, party):
     return mat, np.einsum("nij,nkj->nik", mat, mat.conj())
 
 
-def _tee_values(states, dims, party, q, vectors=False):
+def _tee_values(states, dims, party, q):
     """Tsallis-q entanglement across party|rest of a batch (n, dim) of pure
     vectors, with the party|rest matrices M, the marginals sigma = M M^dagger,
-    their spectra (descending for a qubit) and, for a larger party if asked,
-    their eigenvectors (else None)."""
+    their spectra (descending for a qubit) and, for a larger party, their
+    eigenvectors (else None)."""
     mat, gram = _marginal(states, dims, party)
     if dims[party] == 2:
         spec, vecs = _eig2_descending(gram), None
     else:
-        spec, vecs = np.linalg.eigh(gram) if vectors else (np.linalg.eigvalsh(gram), None)
+        spec, vecs = np.linalg.eigh(gram)
     return _tsallis_sum(spec, q), mat, gram, spec, vecs
 
 

@@ -431,7 +431,7 @@ def tee_cost(dims, party: int, q: float):
     order = _state_order(dims, (party,))
 
     def cost(states: np.ndarray):
-        values, mat, gram, spec, vecs = _tee_values(states, dims, party, q, vectors=True)
+        values, mat, gram, spec, vecs = _tee_values(states, dims, party, q)
         cut = 4.0 * np.finfo(float).eps * spec.max(axis=1, keepdims=True)
         logs = _qlog(np.where(spec > cut, spec, 1.0), q)
         if vecs is not None:

@@ -523,3 +523,31 @@ def test_sign_report_counts_every_violation_and_keeps_ten():
             for k, (a, b) in enumerate(firsts, start=1)
         ],
     }
+
+
+# --- edges no other test reaches -------------------------------------------------
+
+
+def test_curvature_limit_at_max_c_returns_an_array_for_an_array_q():
+    qs = np.array([0.75, (5.0 - math.sqrt(13.0)) / 2.0, 2.0, 4.25])
+    got = curvature_limit_at_max_c(qs)
+    assert isinstance(got, np.ndarray) and got.shape == (4,)
+    assert got.tolist() == pytest.approx([curvature_limit_at_max_c(q) for q in qs], rel=1e-14)
+
+
+def test_sign_report_refuses_an_unknown_claim():
+    with pytest.raises(DomainError) as err:
+        SignScanReport("k", ("x",), (np.array([0.0]),), np.array([1.0]), "positive")
+    assert str(err.value) == "claimed_sign must be 'nonnegative' or 'nonpositive', got 'positive'"
+
+
+def test_sign_report_refuses_an_empty_axis():
+    with pytest.raises(DomainError) as err:
+        SignScanReport("k", ("x", "q"), (np.array([0.0]), np.array([])), np.zeros((1, 0)), None)
+    assert str(err.value) == "scan grids must be nonempty"
+
+
+def test_sum_power_bound_refuses_no_entries():
+    with pytest.raises(DomainError) as err:
+        holds_sum_power_bound([], 2.0)
+    assert str(err.value) == "need at least one entry"

@@ -31,7 +31,7 @@ from tsallisq import (
     w_indicator_closed_form,
     w_state,
 )
-from tsallisq import analysis, cli
+from tsallisq import analysis, cli, verify
 from tsallisq.cli import UsageError, main, parse_number, parse_range
 
 
@@ -668,7 +668,7 @@ def test_infinite_alpha_is_refused(capsys):
         assert captured.err == "error: alpha must be finite, got inf\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITES) + ["all"])
+@pytest.mark.parametrize("suite", sorted(verify._SUITES) + ["all"])
 def test_verify_refuses_a_negative_seed_before_any_suite(capsys, suite):
     # theorem3-sweep used to end in numpy's traceback and appendix-a to pass
     assert main(["verify", suite, "--seed", "-1"]) == 2
@@ -772,3 +772,72 @@ def test_monogamy_variants_report_the_library_values(capsys, argv, variant, repo
     assert main(["monogamy", *argv]) == 0
     verdict = "SATISFIED" if want.satisfied else "VIOLATED"
     assert capsys.readouterr().out == f"{want.residual:.6g}, {verdict}\n"
+
+
+def _route_input(tmp_path, rng, kind: str) -> str:
+    """A state argument for one command route: a shorthand, or a mixed file."""
+    if kind == "22":
+        a, b = (random_pure_state((2, 2), rng).to_density().matrix for _ in range(2))
+        state = DensityMatrix((2, 2), 0.6 * a + 0.4 * b)
+    elif kind == "23":
+        a, b = (random_pure_state((2, 3), rng).to_density().matrix for _ in range(2))
+        state = DensityMatrix((2, 3), 0.6 * a + 0.4 * b)
+    elif kind == "bisep":
+        state = random_biseparable_mixture(rng, members=2)
+    else:
+        return kind
+    path = tmp_path / f"{kind}.json"
+    save_state(state, path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--restarts", "0"], "need at least one restart"),
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["concurrence", "bell"],
+        ["concurrence", "22"],
+        ["concurrence", "23"],
+        ["concurrence", "bisep"],
+        ["concurrence", "w:3", "--json"],
+        ["tee", "bell", "--q", "2"],
+        ["tee", "22", "--q", "2"],
+        ["tee", "23", "--q", "2"],
+        ["tee", "bisep", "--q", "2"],
+        ["monogamy", "w:3", "--q", "2"],
+        ["monogamy", "w:3", "--q", "2", "--alpha", "3"],
+        ["monogamy", "w:4", "--q", "2", "--k", "3"],
+        ["monogamy", "w:3", "--ckw"],
+        ["monogamy", "bisep", "--q", "2"],
+        ["indicator", "w:4", "--q", "2"],
+        ["indicator", "bisep", "--q", "2"],
+    ],
+)
+def test_roof_arguments_are_checked_on_every_route(tmp_path, capsys, rng, argv, flag, message):
+    # only a route that ran a roof used to build RoofConfig, so the pure,
+    # Wootters and closed-form routes printed a value and exited 0
+    verb, kind, *rest = argv
+    assert main([verb, _route_input(tmp_path, rng, kind), *rest, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_state_errors_come_before_the_roof_arguments(capsys):
+    assert main(["tee", "nosuch", "--q", "2", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown state spec 'nosuch' (not a shorthand, not a file)\n"
+    assert captured.out == ""
+
+
+def test_empty_keep_is_a_usage_error(capsys):
+    # an empty --keep used to read as no --keep and print the whole state's entropy
+    assert main(["entropy", "ghz:3", "--q", "2", "--keep", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --keep wants comma-separated indices, got ''\n"
+    assert captured.out == ""

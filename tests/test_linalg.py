@@ -137,3 +137,15 @@ def test_bipartition_matches_moveaxis_bit_for_bit(dims, lead):
         ref = _moveaxis_cut(vecs, dims, keep)
         assert got.shape == ref.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_kron_refuses_no_factor():
+    with pytest.raises(DomainError) as err:
+        kron()
+    assert str(err.value) == "kron needs at least one factor"
+
+
+def test_partial_trace_refuses_a_non_square_matrix():
+    with pytest.raises(DomainError) as err:
+        partial_trace(np.ones((2, 4)), (2, 2), (0,))
+    assert str(err.value) == "matrix must be a square matrix, got shape (2, 4)"

@@ -22,6 +22,9 @@ from tsallisq import (
     concurrence_pure,
     concurrence_two_qubit,
     ef_two_qubit,
+    example3_state,
+    example4_state,
+    example5_state,
     ghz,
     minimize_roof,
     random_pure_state,
@@ -350,6 +353,25 @@ def test_scalar_and_batched_routes_agree(seed, q):
             assert abs(got - tee_pure(qudit, party, q)) <= 1e-12
             got = concurrence_cost(dims, party)(qudit.amplitudes[None])[0][0]
             assert abs(got - concurrence_pure(qudit, party)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "states",
+    [
+        lambda: [random_pure_state((3, 3), np.random.default_rng(seed)) for seed in range(3)],
+        lambda: [random_pure_state((4, 2, 2), np.random.default_rng(seed)) for seed in range(3)],
+        lambda: [random_pure_state((2, 3, 3), np.random.default_rng(seed)) for seed in range(3)],
+        lambda: [example3_state(0.7), example4_state(), example5_state()],
+    ],
+    ids=["3x3", "4x2x2", "2x3x3", "examples"],
+)
+def test_pure_and_cost_tee_take_one_spectrum_route(states):
+    # a qudit cut took eigvalsh in tee_pure and eigh in tee_cost, whose
+    # spectra differ in the last bits
+    for psi in states():
+        for party, q in itertools.product(range(psi.num_sites), (0.75, 1.0, 2.0, 3.5)):
+            got = tee_cost(psi.dims, party, q)(psi.amplitudes[None])[0][0]
+            assert got == tee_pure(psi, party, q)
 
 
 @pytest.mark.parametrize("n", [3, 4])

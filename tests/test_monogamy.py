@@ -632,3 +632,15 @@ _PINNED_KERNEL_BITS = {
 
 def test_pure_kernel_bits_are_pinned():
     assert _pinned_kernel_values() == _PINNED_KERNEL_BITS
+
+
+def test_w_indicator_closed_form_refuses_one_qubit():
+    with pytest.raises(DomainError) as err:
+        w_indicator_closed_form(1, 2.0)
+    assert str(err.value) == "the W family needs n >= 2, got 1"
+
+
+def test_biseparable_mixture_refuses_no_member(rng):
+    with pytest.raises(DomainError) as err:
+        random_biseparable_mixture(rng, members=0)
+    assert str(err.value) == "need at least one member"

@@ -19,6 +19,7 @@ from tsallisq import (
     ghz,
     load_state,
     random_pure_state,
+    reduced_density,
     save_state,
     w_state,
 )
@@ -283,3 +284,62 @@ def test_roundtrip_random_amplitudes(tmp_path_factory, raw, seed):
     save_state(psi, path)
     back = load_state(path)
     assert np.allclose(back.amplitudes, psi.amplitudes, atol=1e-15)
+
+
+_BELL_PAIRS = [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        ([2, 2], "top level must be a JSON object"),
+        ({"amplitudes": _BELL_PAIRS}, "missing required key 'dims'"),
+        (
+            {"dims": [2, 2], "amplitudes": _BELL_PAIRS, "matrix": [[[1, 0]]]},
+            "exactly one of 'amplitudes' or 'matrix' is required",
+        ),
+        (
+            {"dims": [2, 2], "amplitudes": [_BELL_PAIRS[:2], _BELL_PAIRS[2:]]},
+            "amplitudes must be a flat list",
+        ),
+        (
+            {"dims": [2], "matrix": [[1, 0], [0, 0]]},
+            "matrix must be a list of rows, got shape (2,)",
+        ),
+    ],
+)
+def test_load_refuses_each_format_fault(tmp_path, payload, message):
+    path = tmp_path / "format.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateFormatError) as info:
+        load_state(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_save_refuses_what_is_not_a_state(tmp_path):
+    path = tmp_path / "none.json"
+    with pytest.raises(TypeError) as info:
+        save_state([1.0, 0.0], path)
+    assert str(info.value) == "cannot serialize list" and not path.exists()
+
+
+def test_density_matrix_dim_is_the_total_dimension():
+    assert DensityMatrix((2, 3), np.eye(6) / 6).dim == 6
+
+
+def test_decomposition_refuses_members_of_different_dims():
+    members = [(0.5, ghz(2)), (0.5, ghz(3))]
+    with pytest.raises(PartitionError) as info:
+        Decomposition(members)
+    assert str(info.value) == "decomposition members disagree on dims"
+
+
+def test_reduced_density_keeping_every_site_is_the_whole_state():
+    psi = w_state(3)
+    assert np.array_equal(reduced_density(psi, (0, 1, 2)).matrix, psi.to_density().matrix)
+
+
+def test_w_state_refuses_seven_qubits():
+    with pytest.raises(DomainError) as info:
+        w_state(7)
+    assert str(info.value) == "w_state supports 2..6 qubits, got 7"

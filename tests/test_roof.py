@@ -951,3 +951,10 @@ def test_roof_runs_are_pinned():
         for name, res in _pinned_roof_runs().items()
     }
     assert got == _PINNED_ROOFS
+
+
+def test_isometry_with_fewer_rows_than_the_rank_is_refused():
+    rho = DensityMatrix((2, 2), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(DomainError) as err:
+        decomposition_from_isometry(rho, np.array([[1.0, 0.0]]))
+    assert str(err.value) == "isometry needs at least rank many rows"
