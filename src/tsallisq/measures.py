@@ -208,12 +208,14 @@ def _tee_values(states, dims, party, q):
     """Tsallis-q entanglement across party|rest of a batch (n, dim) of pure
     vectors, with the party|rest matrices M, the marginals sigma = M M^dagger,
     their spectra (descending for a qubit) and, for a larger party, their
-    eigenvectors (else None)."""
+    eigenvectors (else None).  A larger party's eigenvalues at or below
+    4 eps max are rounding and read 0, which they add below q = 1 as eps^q."""
     mat, gram = _marginal(states, dims, party)
     if dims[party] == 2:
         spec, vecs = _eig2_descending(gram), None
     else:
         spec, vecs = np.linalg.eigh(gram)
+        spec[spec <= 4.0 * np.finfo(float).eps * spec[:, -1:]] = 0.0
     return _tsallis_sum(spec, q), mat, gram, spec, vecs
 
 

@@ -36,20 +36,26 @@ Restart 0 starts at the eigendecomposition, the isometry [I; 0], except on two
 qubits, where it starts at a Wootters decomposition of rho (_wootters_start):
 its members have equal preconcurrence and average concurrence C(rho), so a
 concurrence roof stops at its floor before the first sweep, and every other
-cost starts from a decomposition that is optimal for the concurrence.  Results
-are deterministic for a fixed seed: restart k >= 1 draws the same Gaussian
-initial point no matter how many restarts follow it.
+cost starts from a decomposition that is optimal for the concurrence.  A
+floored roof of a rank-2 state elsewhere starts at a mixture of two product
+vectors of its range, across any cut, where one exists (_product_start): a
+separable rank-2 state always is one, so its concurrence roof, or the
+indicator of a two-member biseparable mixture, stops at the floor 0 before
+the first sweep.  Results are deterministic for a fixed seed: restart k >= 1
+draws the same Gaussian initial point no matter how many restarts follow it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PartitionError
-from .linalg import _bipartition, _check_dims, _check_index, _check_party, _sq_norms
+from .linalg import _bipartition, _check_dims, _check_index, _check_party, _read_only, _sq_norms
 from .measures import (
     _FLIP_SIGN,
     _FLOOR_MARGIN,
@@ -62,6 +68,7 @@ from .measures import (
     _tau_residual,
     _tee_curve,
     _tee_values,
+    _upper_pairs,
     _window_q,
     as_q,
     concurrence_two_qubit,
@@ -73,6 +80,7 @@ _MAX_RANK = 8
 _ACCEPT_SLACK = 1e-15
 _DROP_WEIGHT = 1e-12
 _TINY = np.finfo(float).tiny
+_PRODUCT_TOL = 1e-10
 # the real 4x4 Hadamard matrix over 2: orthogonal, every entry squared 1/4
 _HADAMARD4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
 # fifth roots of unity w: for a unitary p of size 4, one of them keeps the
@@ -208,19 +216,23 @@ def _member_terms(phi: np.ndarray, cost, running=True):
 
     w = |phi|^2 is the member's weight.  Only members above weight 1e-14 of a
     running restart reach the cost, where running is True or one flag per
-    restart of a (restarts, m, dim) stack; every other member gives 0.
+    restart of a (restarts, m, dim) stack; every other member gives 0.  The
+    rows are gathered and scattered back only when some member is left out.
     """
     w = _sq_norms(phi)
     on = (w > 1e-14) & np.asarray(running)[..., None]
-    rows, w_on = phi[on], w[on]
+    every = bool(on.all())
+    rows, w_on = (phi.reshape(-1, phi.shape[-1]), w.ravel()) if every else (phi[on], w[on])
     root = np.sqrt(w_on)[:, None]
     states = rows / root
     f, f_grad = cost(states)
     radial = np.einsum("ni,ni->n", states.conj(), f_grad).real[:, None]
-    terms, grads = np.zeros(w.shape), np.zeros(phi.shape, dtype=complex)
-    terms[on] = w_on * f
-    grads[on] = 2.0 * f[:, None] * rows + root * (f_grad - radial * states)
-    return terms, grads
+    terms, grads = w_on * f, 2.0 * f[:, None] * rows + root * (f_grad - radial * states)
+    if every:
+        return terms.reshape(w.shape), grads.reshape(phi.shape)
+    full_terms, full_grads = np.zeros(w.shape), np.zeros(phi.shape, dtype=complex)
+    full_terms[on], full_grads[on] = terms, grads
+    return full_terms, full_grads
 
 
 _HALF_UPPER = tuple(np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r) for r in range(_MAX_RANK + 1))
@@ -286,6 +298,100 @@ def _wootters_start(b_mat: np.ndarray) -> np.ndarray:
     return np.repeat(iso / np.sqrt(halves)[:, None], halves, axis=0)
 
 
+def _minor_coefficients(basis: np.ndarray, dims, keep) -> np.ndarray:
+    """K: the coefficients (c0, c1, c2) of every 2 x 2 minor of x A + y B,
+    c0 x^2 + c1 x y + c2 y^2, one row a minor (each twice, with both signs),
+    where A and B are the columns e1, e2 of basis reshaped across keep|rest."""
+    mats = _bipartition(basis.T, dims, keep)
+    i, j = _upper_pairs(mats.shape[1])
+    wedge = np.einsum("apk,bpl->abpkl", mats[:, i], mats[:, j])
+    minors = (wedge - wedge.swapaxes(-1, -2)).reshape(2, 2, -1)
+    return np.stack([minors[0, 0], minors[0, 1] + minors[1, 0], minors[1, 1]], axis=1)
+
+
+def _product_roots(k_mat: np.ndarray) -> list:
+    """The unit coordinates (x, y) of the members x e1 + y e2 of a rank-2
+    range that are product across one cut, from the cut's minor coefficients
+    K, each checked against every minor."""
+    _, sing, vh = np.linalg.svd(k_mat, full_matrices=False)
+    rank = int((sing > _PRODUCT_TOL).sum())
+    if rank == 1:  # the two roots of the one quadratic p0 x^2 + p1 x y + p2 y^2
+        p0, p1, p2 = vh[0]
+        disc = np.sqrt(p1 * p1 - 4.0 * p0 * p2)
+        s = -(p1 + (disc if (p1.conjugate() * disc).real >= 0.0 else -disc)) / 2.0
+        roots = [(p2, s), (s, p0)]
+    elif rank == 2:  # a common root has moments (x^2, x y, y^2) in K's null space
+        n0, n1, n2 = vh[2].conj()
+        roots = [(n0, n1) if abs(n0) >= abs(n2) else (n1, n2)]
+    else:  # rank 3 holds none; rank 0 (product throughout) never comes here
+        return []
+    found = []
+    for x, y in roots:
+        norm_sq = abs(x) ** 2 + abs(y) ** 2
+        residual = np.linalg.norm(k_mat @ np.array([x * x, x * y, y * y]))
+        if norm_sq > 0.0 and residual <= _PRODUCT_TOL * norm_sq:
+            found.append((x, y) / np.sqrt(norm_sq))
+    return found
+
+
+def _product_start(lam, basis, dims):
+    """Restart 0's 4 x 2 start for a rank-2 state that is a positive mixture
+    of two product vectors of its range, across any cut of the sites; None
+    where [I; 0] already is one (each eigenvector is product across some cut)
+    or where no such pair exists.
+
+    A member x e1 + y e2 of the range is product across a cut when every 2x2
+    minor of x A + y B vanishes, A and B the eigenvectors reshaped across the
+    cut.  Each minor is c0 x^2 + c1 x y + c2 y^2, so the rank of the
+    coefficient matrix K (minors x 3) decides what the range holds across the
+    cut (P. Horodecki, Phys. Lett. A 232, 333 (1997)): rank 0, product
+    throughout; rank 1, the two roots of the one quadratic p, taken as
+    (p2, s) and (s, p0) with s = -(p1 + sqrt(p1^2 - 4 p0 p2)) / 2 on the
+    branch that cancels nothing, so that B itself (x = 0) counts; rank 2, at
+    most one common root; rank 3, none.  For a pair of candidates c, c'
+    (unit, in eigenbasis coordinates) the weights of
+    w c c^dagger + w' c' c'^dagger = diag(lam) solve the 2 x 2 normal
+    equations; the first pair with positive weights and a rounding-size
+    residual gives the rows sqrt(w) c / sqrt(lam).
+    """
+    n = len(dims)
+    coefs = [  # each cut once, by its kept side, which holds site 0
+        _minor_coefficients(basis, dims, (0, *rest))
+        for k in range(n - 1)
+        for rest in itertools.combinations(range(1, n), k)
+    ]
+    # columns c0 and c2 are the minors of e1 and e2 themselves
+    ends = np.array([np.linalg.norm(k_mat[:, ::2], axis=0) for k_mat in coefs])
+    if (ends.min(axis=0) <= _PRODUCT_TOL).all():
+        return None
+    cands = np.array([c for k_mat in coefs for c in _product_roots(k_mat)]).reshape(-1, 2)
+    i, j = np.triu_indices(len(cands), 1)
+    overlap = np.abs((cands[i].conj() * cands[j]).sum(axis=1)) ** 2
+    load = np.abs(cands) ** 2 @ lam
+    proj = cands[:, :, None] * cands[:, None, :].conj()
+    # a candidate found across two cuts pairs with itself at overlap 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.stack([load[i] - overlap * load[j], load[j] - overlap * load[i]], axis=1)
+        w /= (1.0 - overlap * overlap)[:, None]
+        resid = w[:, :1, None] * proj[i] + w[:, 1:, None] * proj[j] - np.diag(lam)
+        good = (w > 0.0).all(axis=1) & (np.abs(resid).max(axis=(1, 2)) <= _PRODUCT_TOL)
+    if not good.any():
+        return None
+    k = int(np.argmax(good))
+    start = np.zeros((4, 2), dtype=complex)
+    start[:2] = np.sqrt(w[k])[:, None] * cands[[i[k], j[k]]] / np.sqrt(lam)
+    return start
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_starts(seed: int, restarts: int, m: int, r: int) -> np.ndarray:
+    """The orthonormalized starts of restarts 1 ... restarts - 1, read-only
+    and made once per seed, restart count and shape.  One contiguous draw per
+    restart keeps restart k's start independent of how many restarts follow."""
+    normals = np.random.default_rng(seed).standard_normal((restarts - 1, 2, m, r))
+    return _read_only(_phase_fixed_isometries(normals[:, 0] + 1j * normals[:, 1]))
+
+
 def minimize_roof(
     rho: DensityMatrix,
     cost,
@@ -302,9 +408,10 @@ def minimize_roof(
     members above weight 1e-14 of the running restarts.  The returned value is
     an upper bound on the true roof (the optimizer can only certify what it
     found), tight in practice for the ranks this package allows.  Restart 0
-    starts at [I; 0], or on two qubits at a decomposition with average
-    concurrence C(rho) (module docstring); restart k >= 1 at the k-th seeded
-    Gaussian draw.
+    starts at [I; 0], on two qubits at a decomposition with average
+    concurrence C(rho), and on a floored rank-2 roof elsewhere at a product
+    decomposition of the range where one exists (module docstring); restart
+    k >= 1 at the k-th seeded Gaussian draw.
 
     floor, when given, must be a proven lower bound of the roof of rho, that
     is of the cost averaged over every decomposition of rho (a lower bound of
@@ -341,22 +448,19 @@ def minimize_roof(
     b_mat = np.sqrt(lam)[:, None] * basis.T  # (r, dim); transpose, never dagger
 
     n_restart = cfg.restarts
-    rng = np.random.default_rng(cfg.seed)
-    draws = np.zeros((n_restart, m, r), dtype=complex)
+    start = None
     if dims == (2, 2):
-        draws[0] = _wootters_start(b_mat)
-    else:
-        draws[0, :r, :r] = np.eye(r)
-    if n_restart > 1:
-        # one contiguous draw per restart keeps restart k's start independent
-        # of how many restarts come after it
-        normals = rng.standard_normal((n_restart - 1, 2, m, r))
-        draws[1:] = normals[:, 0] + 1j * normals[:, 1]
-
-    mats = _phase_fixed_isometries(draws)
+        start = _wootters_start(b_mat)
+    elif floor is not None and r == 2:
+        start = _product_start(lam, basis, dims)
+    if start is None:
+        start = np.eye(m, r, dtype=complex)
+    mats = np.concatenate(
+        [_phase_fixed_isometries(start[None]), _seeded_starts(cfg.seed, n_restart, m, r)]
+    )
     terms, dphi = _member_terms(mats @ b_mat, cost)
     current = terms.sum(axis=1)
-    grad = _ensemble_gradient(mats, b_mat, dphi)
+    grad = None  # taken on the first sweep: a batch that starts at its floor needs none
     alpha = np.full(n_restart, 0.25)
     streak = np.zeros(n_restart, dtype=int)
     iters = np.zeros(n_restart, dtype=int)
@@ -369,17 +473,21 @@ def minimize_roof(
         settled = stopped.all() if floor is not None else stopped[np.argmin(current)]
         if at_floor or settled or iters.max() == cfg.max_iterations:
             break
+        if grad is None:
+            grad = _ensemble_gradient(mats, b_mat, dphi)
         running = ~stopped
         iso_cand = _phase_fixed_isometries(mats - alpha[:, None, None] * grad)
         terms, dphi = _member_terms(iso_cand @ b_mat, cost, running)
         f_cand = terms.sum(axis=1)
         gain = current - f_cand
         took = (gain > _ACCEPT_SLACK) & running
-        mats[took] = iso_cand[took]
-        current[took] = f_cand[took]
+        # a boolean index only where some restart keeps its point
+        acc = slice(None) if took.all() else took
+        mats[acc] = iso_cand[acc]
+        current[acc] = f_cand[acc]
         if took.any():  # a rejected step keeps its point, and so its gradient
-            grad[took] = _ensemble_gradient(mats[took], b_mat, dphi[took])
-        streak[took] = np.where(gain[took] < cfg.tolerance, streak[took] + 1, 0)
+            grad[acc] = _ensemble_gradient(mats[acc], b_mat, dphi[acc])
+        streak[acc] = np.where(gain[acc] < cfg.tolerance, streak[acc] + 1, 0)
         alpha[running] *= np.where(took[running], 1.3, 0.4)
         iters[running] += 1
         stopped |= (alpha < 1e-10) | (streak >= 4)

@@ -374,6 +374,17 @@ def test_pure_and_cost_tee_take_one_spectrum_route(states):
             assert got == tee_pure(psi, party, q)
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
+def test_both_sides_of_a_qudit_cut_agree(dims):
+    # the larger side's marginal is rank-deficient; its rounding-size
+    # eigenvalues would add about eps^q below q = 1
+    rng = np.random.default_rng(3)
+    states = [random_pure_state(dims, rng) for _ in range(30)]
+    for psi, q in itertools.product(states, (0.3, 0.5, 0.75, 2.0)):
+        small, large = tee_pure(psi, 0, q), tee_pure(psi, 1, q)
+        assert abs(large - small) <= 1e-13 * small
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_concurrence_two_qubit_zero_on_product_pairs(n):
     rng = np.random.default_rng(n)

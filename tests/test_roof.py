@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,10 @@ from tsallisq.roof import (
     _eigenbasis,
     _ensemble_gradient,
     _member_terms,
+    _minor_coefficients,
     _phase_fixed_isometries,
+    _product_roots,
+    _product_start,
     _wootters_start,
     concurrence_cost,
     decomposition_from_isometry,
@@ -316,6 +320,136 @@ def test_mixed_indicator_stops_at_floor(rng):
     assert res.upper_bound
     assert res.value <= 1e-7
     assert res.roof.stop_reason == "floor"
+
+
+# --- restart 0 at a product decomposition of a rank-2 range ------------------
+
+
+def _outer_mix(weight, a, b):
+    return weight * np.outer(a, a.conj()) + (1.0 - weight) * np.outer(b, b.conj())
+
+
+def _assert_certified_at_start(res, rho):
+    assert res.stop_reason == "floor" and res.iterations == 0 and res.cost_calls == 2
+    assert abs(res.value) <= 1e-14
+    assert np.abs(res.decomposition.reconstruct() - rho.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_separable_rank2_blocks_stop_at_their_product_start(dims):
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        a, b = (
+            np.kron(*(random_pure_state((d,), rng).amplitudes for d in dims)) for _ in range(2)
+        )
+        rho = DensityMatrix(dims, _outer_mix(rng.uniform(0.2, 0.8), a, b))
+        _assert_certified_at_start(roof_concurrence(rho, RoofConfig(restarts=8, seed=11)), rho)
+
+
+def _biseparable_member(site, rng):
+    # a qubit at site times a two-qubit state on the other two sites
+    single, pair = random_pure_state((2,), rng), random_pure_state((2, 2), rng)
+    tensor = np.kron(single.amplitudes, pair.amplitudes).reshape(2, 2, 2)
+    return np.moveaxis(tensor, 0, site).reshape(8)
+
+
+@pytest.mark.parametrize("q", [0.8, 2.0, 4.0])
+@pytest.mark.parametrize("sites", list(itertools.combinations_with_replacement(range(3), 2)))
+def test_biseparable_mixtures_stop_at_their_product_start(sites, q):
+    rng = np.random.default_rng([31, *sites])
+    for _ in range(3):
+        a, b = (_biseparable_member(site, rng) for site in sites)
+        rho = DensityMatrix((2, 2, 2), _outer_mix(rng.uniform(0.2, 0.8), a, b))
+        _assert_certified_at_start(indicator(rho, q, RoofConfig(restarts=6, seed=7)).roof, rho)
+
+
+def test_product_eigenvectors_keep_the_eigenbasis_start():
+    # orthogonal members, product across different cuts, are the eigenvectors
+    # themselves; on a range that is product throughout so is every basis.
+    # Either way [I; 0] already is a product decomposition and no search runs
+    zero, one = np.eye(2)
+    phi_plus = (np.kron(zero, zero) + np.kron(one, one)) / math.sqrt(2.0)
+    psi_minus = (np.kron(zero, one) - np.kron(one, zero)) / math.sqrt(2.0)
+    members = DensityMatrix(
+        (2, 2, 2), _outer_mix(0.7, np.kron(zero, phi_plus), np.kron(psi_minus, zero))
+    )
+    block = np.zeros((3, 3), dtype=complex)
+    block[:2, :2] = [[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]
+    product_range = DensityMatrix((2, 3), np.kron(np.outer(zero, zero), block))
+    for rho in (members, product_range):
+        lam, basis = _eigenbasis(rho)
+        assert _product_start(lam, basis, rho.dims) is None
+    cfg = RoofConfig(restarts=6, seed=7)
+    _assert_certified_at_start(indicator(members, 2.0, cfg).roof, members)
+    _assert_certified_at_start(roof_concurrence(product_range, cfg), product_range)
+
+
+def _product_second_eigenvector(dims, seed):
+    # 0.7 |psi><psi| + 0.3 |0...0><0...0|, psi entangled and orthogonal to |0...0>
+    psi = random_pure_state(dims, np.random.default_rng(seed)).amplitudes.copy()
+    psi[0] = 0.0
+    return DensityMatrix(dims, _outer_mix(0.7, psi / np.linalg.norm(psi), np.eye(psi.size)[0]))
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 3), 2)])
+def test_product_roots_count_the_second_eigenvector(dims, rank):
+    # e2 = |00> is the root at x = 0: one root of the one quadratic on two
+    # qubits, the common root of K's null space on a qubit and a qutrit
+    lam, basis = _eigenbasis(_product_second_eigenvector(dims, 13))
+    k_mat = _minor_coefficients(basis, dims, (0,))
+    assert np.linalg.matrix_rank(k_mat, tol=1e-10) == rank
+    roots = _product_roots(k_mat)
+    assert len(roots) == 3 - rank
+    assert any(abs(x) <= 1e-15 and abs(abs(y) - 1.0) <= 1e-15 for x, y in roots)
+    for x, y in roots:
+        member = (x * basis[:, 0] + y * basis[:, 1]).reshape(dims)
+        assert np.linalg.svd(member, compute_uv=False)[1] <= 1e-15
+
+
+def _ghz_w(p):
+    mat = p * ghz(3).to_density().matrix + (1 - p) * w_state(3).to_density().matrix
+    return DensityMatrix((2, 2, 2), mat)
+
+
+# value.hex(), iterations and stop_reason of floored rank-2 roofs whose range
+# holds no product decomposition, recorded before restart 0 could start at
+# one: each keeps the eigenbasis start and every bit ("indicator-ghz-w" of
+# _PINNED_ROOFS is the GHZ-W line at p = 0.5)
+_ENTANGLED_RANK2 = {
+    "conc-23-product-e2": ("0x1.81cd17a544814p-2", 24, "step"),
+    "conc-33": ("0x1.e814d18bf5518p-1", 14, "tolerance"),
+    "conc-32": ("0x1.4d2407468645ap-1", 14, "tolerance"),
+    "tee-24-floor0": ("0x1.f81e001a95902p-3", 13, "tolerance"),
+    "indicator": ("0x1.370700455ebf2p-6", 38, "tolerance"),
+    "indicator-ghz-w-0.2": ("0x1.08379febc5d8cp-3", 24, "step"),
+    "indicator-ghz-w-0.9-q3": ("0x1.e16ecf88ce67ep-4", 47, "tolerance"),
+}
+
+
+def test_entangled_rank2_roofs_keep_their_bits():
+    cfg = RoofConfig(restarts=4, seed=9, max_iterations=400)
+
+    def mixture(dims, seed):
+        return _random_mixture(dims, 2, np.random.default_rng(seed))
+
+    runs = {
+        "conc-23-product-e2": lambda: roof_concurrence(
+            _product_second_eigenvector((2, 3), 13), cfg
+        ),
+        "conc-33": lambda: roof_concurrence(mixture((3, 3), 14), cfg),
+        "conc-32": lambda: roof_concurrence(mixture((3, 2), 15), cfg),
+        "tee-24-floor0": lambda: minimize_roof(
+            mixture((2, 4), 16), tee_cost((2, 4), 0, 2.0), cfg, floor=0.0
+        ),
+        "indicator": lambda: indicator(mixture((2, 2, 2), 17), 2.0, cfg).roof,
+        "indicator-ghz-w-0.2": lambda: indicator(_ghz_w(0.2), 2.0, cfg).roof,
+        "indicator-ghz-w-0.9-q3": lambda: indicator(_ghz_w(0.9), 3.0, cfg).roof,
+    }
+    got = {}
+    for name, run in runs.items():
+        res = run()
+        got[name] = (res.value.hex(), res.iterations, res.stop_reason)
+    assert got == _ENTANGLED_RANK2
 
 
 # --- the bracket [lower, value] ----------------------------------------------
@@ -940,7 +1074,8 @@ _PINNED_ROOFS = {
     "conc-22-p1-floor0": ("0x1.5958fb4a7d47ep-2", 24, "step"),  # -5.6e-17
     "conc-24-caf": ("0x1.4dc5ad5604f12p-1", 9, "tolerance"),
     "conc-23-caf-r3": ("0x1.974422e172845p-2", 166, "tolerance"),
-    "indicator-bisep": ("0x1.ddf5fa4a18597p-28", 8, "floor"),
+    # restart 0 starts at a product decomposition of the range: -5.2e-17 from 0
+    "indicator-bisep": ("-0x1.e28ea2258dc47p-55", 0, "floor"),
     "indicator-ghz-w": ("0x1.cdd90338907a9p-4", 70, "tolerance"),
 }
 
