@@ -300,8 +300,9 @@ def _wootters_start(b_mat: np.ndarray) -> np.ndarray:
 
 def _minor_coefficients(basis: np.ndarray, dims, keep) -> np.ndarray:
     """K: the coefficients (c0, c1, c2) of every 2 x 2 minor of x A + y B,
-    c0 x^2 + c1 x y + c2 y^2, one row a minor (each twice, with both signs),
-    where A and B are the columns e1, e2 of basis reshaped across keep|rest."""
+    c0 x^2 + c1 x y + c2 y^2, one row a minor (each twice, with both signs,
+    beside zero rows for equal columns), where A and B are the columns e1, e2
+    of basis reshaped across keep|rest."""
     mats = _bipartition(basis.T, dims, keep)
     i, j = _upper_pairs(mats.shape[1])
     wedge = np.einsum("apk,bpl->abpkl", mats[:, i], mats[:, j])
